@@ -5,9 +5,10 @@
 //! Each module implements one experiment and exposes `run() ->
 //! String`, printing the same rows/series the paper plots; the
 //! `src/bin/*` binaries are thin wrappers, and `run_all` regenerates
-//! everything for EXPERIMENTS.md. All experiments run on the machine
-//! models (substitution documented in DESIGN.md), are deterministic
-//! (seeded noise) and complete in seconds.
+//! every table and figure in one pass. All experiments run on the
+//! machine models of `synapse-sim` (the simulated backend, see the
+//! README's "Architecture" section), are deterministic (seeded noise)
+//! and complete in seconds.
 //!
 //! | module    | paper artifact |
 //! |-----------|----------------|

@@ -7,20 +7,14 @@
 //! fingerprint prefix, saves rewrite only the shards touched since the
 //! last save, and a manifest records the layout — so a million-point
 //! campaign pays for the points it adds, not for the points it has.
-//!
-//! Caches written by older engines as one monolithic
-//! `campaign_results.json` migrate to the sharded layout transparently
-//! on first open (the legacy file is kept as `*.migrated`). Results
-//! keyed by an older engine's fingerprint scheme are dropped during
-//! migration — the current engine can never produce their keys, so
-//! they could never be cache hits again.
+//! Each result is stored as a compact binary record
+//! ([`crate::codec::encode_record`]), not as JSON.
 
-use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use synapse_store::sharded::MANIFEST_FILE;
-use synapse_store::{Collection, Document, ShardedDb, DEFAULT_DOC_LIMIT};
+use synapse_store::{ShardedDb, DEFAULT_DOC_LIMIT};
 
+use crate::codec::{decode_record, encode_record, write_axes, Fnv, Sink};
 use crate::error::CampaignError;
 use crate::grid::{fnv1a, ScenarioPoint};
 use crate::runner::PointResult;
@@ -34,33 +28,41 @@ use crate::runner::PointResult;
 /// v4: the `sample_order` ablation (Fig. 2) became a grid axis — a new
 /// `ScenarioPoint` field and a new term in the per-point seed
 /// derivation, so every fingerprint changed again.
-pub const ENGINE_VERSION: u32 = 4;
-
-/// File name of the pre-sharded, single-file cache layout.
-const LEGACY_FILE: &str = "campaign_results.json";
+///
+/// v5: the fingerprint hashes the typed fields directly (see
+/// [`fingerprint`]) instead of the point's JSON text, so every key
+/// changed; the cache stores binary records.
+pub const ENGINE_VERSION: u32 = 5;
 
 /// Engine tag recorded in the sharded store's manifest.
 pub fn engine_tag() -> String {
     format!("synapse-campaign/engine-v{ENGINE_VERSION}")
 }
 
-/// Content fingerprint of a scenario point (hex, stable across runs
-/// and platforms).
+/// Content fingerprint of a scenario point: 16 lowercase hex digits,
+/// stable across runs and platforms.
+///
+/// A streaming 64-bit FNV-1a, its offset basis XORed with
+/// [`ENGINE_VERSION`], over every field except `index` in declaration
+/// order — `workload`, `steps`, `machine`, `kernel`, `mode`, `threads`,
+/// `io_block`, `sample_rate`, `fs`, `atoms`, `sample_order`,
+/// `profile_machine`, `noise_cv`, `seed` — followed by
+/// `ENGINE_VERSION` itself as four little-endian bytes. Framing:
+/// strings are their byte length as a little-endian `u64` followed by
+/// their UTF-8 bytes; integers are little-endian at their own width
+/// (`threads` is a `u32`, the rest `u64`); `f64`s are hashed as their
+/// `to_bits()`.
+///
+/// The index is display-only, so reordering axes or growing the grid
+/// never changes a point's identity. The version is hashed as bytes,
+/// not only as the seed: seeding alone only XORs it into the initial
+/// state, which a crafted (or unlucky) byte stream could cancel back
+/// out.
 pub fn fingerprint(point: &ScenarioPoint) -> String {
-    // The index is display-only; exclude it so reordering axes or
-    // growing the grid never changes a point's identity.
-    let mut canonical = point.clone();
-    canonical.index = 0;
-    let json = serde_json::to_string(&canonical).expect("point serializes");
-    // The engine version is folded in twice: as the FNV seed *and* as
-    // hashed bytes. Seeding alone only XORs the version into the
-    // initial state, which a crafted (or unlucky) byte stream could
-    // cancel back out — hashing the version bytes makes a version bump
-    // irreversibly part of the digest.
-    let mut bytes = json.into_bytes();
-    bytes.extend_from_slice(b"|engine=");
-    bytes.extend_from_slice(ENGINE_VERSION.to_string().as_bytes());
-    format!("{:016x}", fnv1a(&bytes, ENGINE_VERSION as u64))
+    let mut hash = Fnv::new(ENGINE_VERSION as u64);
+    write_axes(&mut hash, point);
+    hash.u32(ENGINE_VERSION);
+    format!("{:016x}", hash.0)
 }
 
 /// Deterministic causality id for a campaign: the same spec (seed
@@ -103,20 +105,15 @@ impl ResultCache {
     /// Open (or create) a cache persisted under `dir`, loading shard
     /// files across `workers` threads (0 ⇒ one per core, capped at 16)
     /// so cache warm-up scales with the machine instead of a single
-    /// reader. A legacy single-file cache found under `dir` is
-    /// migrated to the sharded layout first (one-shot).
+    /// reader. A directory written by an older store format is refused
+    /// with [`synapse_store::StoreError::Corrupt`].
     pub fn open_with_workers(dir: impl AsRef<Path>, workers: usize) -> Result<Self, CampaignError> {
-        let dir = dir.as_ref();
-        // A migration already holds the fully-populated store; reuse
-        // it instead of re-reading the shard files it just wrote.
-        if let Some(db) = migrate_legacy_layout(dir)? {
-            return Ok(ResultCache { db });
-        }
         let db = ShardedDb::open_with_workers(dir, DEFAULT_DOC_LIMIT, engine_tag(), workers)?;
         Ok(ResultCache { db })
     }
 
-    /// Cached result for a fingerprint, if any.
+    /// Cached result for a fingerprint, if any. A record that does not
+    /// decode reads as a miss.
     ///
     /// For on-disk caches this read is cross-process: a miss checks
     /// (one `stat`) whether a peer sharing the directory has saved
@@ -124,13 +121,14 @@ impl ResultCache {
     /// cluster workers pick up each other's results mid-campaign, not
     /// only at the next open. See [`synapse_store::ShardedDb::get`].
     pub fn get(&self, fingerprint: &str) -> Option<PointResult> {
-        self.db.get(fingerprint).and_then(|doc| doc.decode().ok())
+        self.db
+            .get(fingerprint, |bytes| decode_record(fingerprint, bytes))
+            .flatten()
     }
 
     /// Store a result under its fingerprint (idempotent).
     pub fn put(&self, fingerprint: &str, result: &PointResult) -> Result<(), CampaignError> {
-        let doc = Document::new(fingerprint, result)?;
-        self.db.upsert(doc)?;
+        self.db.upsert(fingerprint, encode_record(result))?;
         Ok(())
     }
 
@@ -172,49 +170,12 @@ impl ResultCache {
     }
 }
 
-/// One-shot migration: a directory holding a legacy single-file cache
-/// (and no sharded manifest) is rewritten into the sharded layout, and
-/// the legacy file renamed to `campaign_results.json.migrated` so the
-/// migration can never re-run against a stale copy. Returns the
-/// populated store, or `None` when no migration was needed.
-///
-/// Only results whose key the *current* engine would compute are
-/// carried over: a result fingerprinted by an older engine version can
-/// never be looked up again (that is the point of [`ENGINE_VERSION`]),
-/// so copying it forward would just be dead weight loaded on every
-/// open. The parked legacy file keeps the dropped data recoverable.
-fn migrate_legacy_layout(dir: &Path) -> Result<Option<ShardedDb>, CampaignError> {
-    let legacy = dir.join(LEGACY_FILE);
-    if !legacy.exists() || dir.join(MANIFEST_FILE).exists() {
-        return Ok(None);
-    }
-    let json = fs::read_to_string(&legacy)?;
-    let collection = Collection::from_json("campaign_results", DEFAULT_DOC_LIMIT, &json)?;
-    let db = ShardedDb::open(dir, DEFAULT_DOC_LIMIT, engine_tag())?;
-    for doc in collection.iter() {
-        let current_key = doc
-            .decode::<PointResult>()
-            .map(|r| fingerprint(&r.point) == doc.id)
-            .unwrap_or(false);
-        if current_key {
-            db.upsert(doc.clone())?;
-        }
-    }
-    db.save()?;
-    fs::rename(&legacy, legacy_backup_path(dir))?;
-    Ok(Some(db))
-}
-
-/// Where the legacy file is parked after a successful migration.
-pub fn legacy_backup_path(dir: &Path) -> PathBuf {
-    dir.join(format!("{LEGACY_FILE}.migrated"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::runner::PointResult;
     use crate::spec::CampaignSpec;
+    use synapse_store::sharded::MANIFEST_FILE;
 
     fn points() -> Vec<ScenarioPoint> {
         let spec = CampaignSpec::from_toml(
@@ -274,15 +235,58 @@ mod tests {
         // the initial state; the digest must also *hash* the version
         // bytes so a version bump can never collide back.
         let ps = points();
-        let mut canonical = ps[0].clone();
-        canonical.index = 0;
-        let json = serde_json::to_string(&canonical).unwrap();
-        let seed_only = format!("{:016x}", fnv1a(json.as_bytes(), ENGINE_VERSION as u64));
+        let mut seed_only = Fnv::new(ENGINE_VERSION as u64);
+        write_axes(&mut seed_only, &ps[0]);
         assert_ne!(
             fingerprint(&ps[0]),
-            seed_only,
+            format!("{:016x}", seed_only.0),
             "engine version must be part of the hashed bytes"
         );
+    }
+
+    #[test]
+    fn fingerprint_is_pinned() {
+        // The documented field order and framing, spelled out byte by
+        // byte: a change to either must be a deliberate version bump.
+        let p = &points()[0];
+        fn text(bytes: &mut Vec<u8>, s: &str) {
+            bytes.extend_from_slice(&(s.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(s.as_bytes());
+        }
+        let mut bytes = Vec::new();
+        text(&mut bytes, &p.workload);
+        bytes.extend_from_slice(&p.steps.to_le_bytes());
+        text(&mut bytes, &p.machine);
+        text(&mut bytes, &p.kernel);
+        text(&mut bytes, &p.mode);
+        bytes.extend_from_slice(&p.threads.to_le_bytes());
+        bytes.extend_from_slice(&p.io_block.to_le_bytes());
+        bytes.extend_from_slice(&p.sample_rate.to_bits().to_le_bytes());
+        text(&mut bytes, &p.fs);
+        text(&mut bytes, &p.atoms);
+        text(&mut bytes, &p.sample_order);
+        text(&mut bytes, &p.profile_machine);
+        bytes.extend_from_slice(&p.noise_cv.to_bits().to_le_bytes());
+        bytes.extend_from_slice(&p.seed.to_le_bytes());
+        bytes.extend_from_slice(&ENGINE_VERSION.to_le_bytes());
+        let expect = format!("{:016x}", fnv1a(&bytes, ENGINE_VERSION as u64));
+        assert_eq!(fingerprint(p), expect);
+    }
+
+    #[test]
+    fn old_format_directories_are_refused() {
+        let dir = tmpdir("old-format");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(
+            dir.join(MANIFEST_FILE),
+            r#"{"format":1,"engine":"synapse-campaign/engine-v4","shard_count":256,"groups":[]}"#,
+        )
+        .unwrap();
+        assert!(matches!(
+            ResultCache::open(&dir),
+            Err(CampaignError::Store(synapse_store::StoreError::Corrupt(_)))
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -341,76 +345,6 @@ mod tests {
         cache.put(&r.fingerprint, &r).unwrap();
         let incr = cache.persist().unwrap();
         assert_eq!(incr.data_files_written, 1, "{incr:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn legacy_single_file_cache_migrates_transparently() {
-        let dir = tmpdir("migrate");
-        std::fs::create_dir_all(&dir).unwrap();
-        // Write a legacy layout: one campaign_results.json collection.
-        let ps = points();
-        let mut collection = Collection::new("campaign_results");
-        for p in &ps {
-            let r = result_for(p);
-            collection
-                .upsert(Document::new(&r.fingerprint, &r).unwrap())
-                .unwrap();
-        }
-        std::fs::write(
-            dir.join("campaign_results.json"),
-            collection.to_json().unwrap(),
-        )
-        .unwrap();
-
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), ps.len(), "every legacy result migrated");
-        for p in &ps {
-            assert_eq!(cache.get(&fingerprint(p)).unwrap().point, *p);
-        }
-        assert!(!dir.join("campaign_results.json").exists());
-        assert!(legacy_backup_path(&dir).exists(), "legacy file parked");
-        assert!(dir.join(MANIFEST_FILE).exists());
-
-        // A second open must not re-run the migration.
-        let again = ResultCache::open_with_workers(&dir, 4).unwrap();
-        assert_eq!(again.len(), ps.len());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn migration_drops_results_keyed_by_an_older_engine() {
-        let dir = tmpdir("migrate-stale");
-        std::fs::create_dir_all(&dir).unwrap();
-        let ps = points();
-        let live = result_for(&ps[0]);
-        // A result fingerprinted the old way (seed-only fold): its key
-        // can never be computed by the current engine again.
-        let stale = {
-            let mut r = result_for(&ps[1]);
-            let mut canonical = r.point.clone();
-            canonical.index = 0;
-            let json = serde_json::to_string(&canonical).unwrap();
-            r.fingerprint = format!("{:016x}", fnv1a(json.as_bytes(), 1));
-            r
-        };
-        let mut collection = Collection::new("campaign_results");
-        for r in [&live, &stale] {
-            collection
-                .upsert(Document::new(&r.fingerprint, r).unwrap())
-                .unwrap();
-        }
-        std::fs::write(
-            dir.join("campaign_results.json"),
-            collection.to_json().unwrap(),
-        )
-        .unwrap();
-
-        let cache = ResultCache::open(&dir).unwrap();
-        assert_eq!(cache.len(), 1, "stale-engine result dropped");
-        assert!(cache.get(&live.fingerprint).is_some());
-        assert!(cache.get(&stale.fingerprint).is_none());
-        assert!(legacy_backup_path(&dir).exists(), "dropped data parked");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

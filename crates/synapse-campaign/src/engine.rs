@@ -24,7 +24,7 @@ use crate::cache::{fingerprint, ResultCache};
 use crate::error::CampaignError;
 use crate::grid::ScenarioPoint;
 use crate::metrics::EngineMetrics;
-use crate::runner::{simulate_point, PointResult, RunConfig, RunStats};
+use crate::runner::{simulate_keyed, PointResult, RunConfig, RunStats};
 
 /// A shared cooperative-cancellation flag.
 ///
@@ -162,24 +162,28 @@ impl<'a> CampaignEngine<'a> {
             let probed = self.cache.get(&fp);
             metrics.cache_lookup_seconds.observe_since(lookup_started);
             metrics.points.inc();
-            let (outcome, cached) = match probed {
-                Some(mut hit) => {
+            // The fingerprint excludes the grid index, so a hit may
+            // come from a differently-shaped grid (a grown campaign):
+            // rebind it to this run's position. A hit whose axes differ
+            // from the requested point is a fingerprint collision: it
+            // is treated as a miss, and the fresh result overwrites it.
+            let hit = probed.and_then(|mut hit| {
+                hit.point.index = point.index;
+                (hit.point == *point).then_some(hit)
+            });
+            let (outcome, cached) = match hit {
+                Some(hit) => {
                     cache_hits.fetch_add(1, Ordering::Relaxed);
                     metrics.cache_hits.inc();
-                    // The fingerprint excludes the grid index,
-                    // so a hit may come from a differently-
-                    // shaped grid (a grown campaign): rebind it
-                    // to this run's position.
-                    hit.point.index = point.index;
                     (Ok(hit), true)
                 }
                 None => {
                     simulated.fetch_add(1, Ordering::Relaxed);
                     metrics.cache_misses.inc();
                     let sim_started = Instant::now();
-                    let fresh = simulate_point(point).and_then(|r| {
+                    let fresh = simulate_keyed(point, fp).and_then(|r| {
                         metrics.simulate_seconds.observe_since(sim_started);
-                        self.cache.put(&fp, &r)?;
+                        self.cache.put(&r.fingerprint, &r)?;
                         Ok(r)
                     });
                     (fresh, false)
@@ -388,6 +392,25 @@ mod tests {
         let (_, stats) = engine.run(&|_| {}, &CancelToken::new()).unwrap();
         assert_eq!(stats.cache_hits, done);
         assert_eq!(stats.simulated, points.len() - done);
+    }
+
+    #[test]
+    fn a_fingerprint_collision_is_a_miss_that_overwrites() {
+        let points = expand(&spec());
+        let (a, b) = (&points[0], &points[1]);
+        let a_result = crate::runner::simulate_point(a).unwrap();
+        let b_key = fingerprint(b);
+        // Forge a collision: A's result stored under B's key.
+        let cache = ResultCache::in_memory();
+        cache.put(&b_key, &a_result).unwrap();
+        let config = RunConfig { workers: 1 };
+        let (results, stats) = CampaignEngine::new(std::slice::from_ref(b), &cache, &config)
+            .run(&|_| {}, &CancelToken::new())
+            .unwrap();
+        let b_result = crate::runner::simulate_point(b).unwrap();
+        assert_eq!(results, vec![b_result.clone()], "B's own result, not A's");
+        assert_eq!((stats.simulated, stats.cache_hits), (1, 0));
+        assert_eq!(cache.get(&b_key).unwrap(), b_result, "overwritten");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use synapse_pilot::SchedulerPolicy;
 use synapse_sim::{FsKind, ParallelMode};
 use synapse_workloads::AppModel;
 
+use crate::codec::{Fnv, Sink};
 use crate::spec::CampaignSpec;
 
 /// One concrete scenario: a fully-bound combination of axis values.
@@ -226,12 +227,9 @@ pub fn policy_by_name(name: &str) -> Option<SchedulerPolicy> {
 /// fingerprints (no `DefaultHasher` — its output may change between
 /// Rust releases, which would silently invalidate caches).
 pub fn fnv1a(bytes: &[u8], seed: u64) -> u64 {
-    let mut hash = 0xcbf29ce484222325u64 ^ seed;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x100000001b3);
-    }
-    hash
+    let mut hash = Fnv::new(seed);
+    hash.put(bytes);
+    hash.0
 }
 
 /// Expand a validated spec into its full scenario grid, in

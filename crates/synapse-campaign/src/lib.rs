@@ -21,6 +21,9 @@
 //!   `synapse-store`'s sharded store (256 shard files by fingerprint
 //!   prefix, dirty-shard-only saves), so re-running a grown campaign
 //!   only simulates new points and only rewrites the shards it adds;
+//! * [`codec`] — the per-point encodings written straight from typed
+//!   fields: the fingerprint's framing, the binary cache record, and
+//!   the one `PointResult` JSON writer;
 //! * [`aggregate`] — mean/p50/p95/p99 per axis slice plus
 //!   relative-error-vs-reference-machine views;
 //! * [`report`] — deterministic JSON/CSV reports (identical spec +
@@ -48,6 +51,7 @@
 
 pub mod aggregate;
 pub mod cache;
+pub mod codec;
 pub mod engine;
 pub mod error;
 pub mod grid;
@@ -64,6 +68,7 @@ use std::path::Path;
 
 pub use aggregate::{AxisSlice, Percentiles, ReferenceError};
 pub use cache::{campaign_trace_id, fingerprint, ResultCache, ENGINE_VERSION};
+pub use codec::{JsonF64, JsonStr};
 pub use engine::{CampaignEngine, CancelToken, PointEvent};
 pub use error::CampaignError;
 pub use grid::{

@@ -174,6 +174,15 @@ pub fn emulation_plan(point: &ScenarioPoint) -> Result<EmulationPlan, CampaignEr
 /// own modelled runtime on the target machine is computed alongside as
 /// the fidelity baseline.
 pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignError> {
+    simulate_keyed(point, fingerprint(point))
+}
+
+/// [`simulate_point`] for a caller that already holds the point's
+/// fingerprint (the engine computes it once, for the cache lookup).
+pub(crate) fn simulate_keyed(
+    point: &ScenarioPoint,
+    fingerprint: String,
+) -> Result<PointResult, CampaignError> {
     let app = app_by_name(&point.workload)
         .ok_or_else(|| CampaignError::UnknownWorkload(point.workload.clone()))?;
     let profile_machine = synapse_sim::machine_by_name(&point.profile_machine)
@@ -203,7 +212,7 @@ pub fn simulate_point(point: &ScenarioPoint) -> Result<PointResult, CampaignErro
     };
 
     Ok(PointResult {
-        fingerprint: fingerprint(point),
+        fingerprint,
         point: point.clone(),
         tx: report.tx,
         app_tx: app_run.tx,

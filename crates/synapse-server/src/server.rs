@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 use serde_json::json;
 use synapse_campaign::{
     expand_range, run_campaign_on, AggregateMetrics, CampaignEngine, CampaignError, CampaignSpec,
-    PointEvent, ResultCache, RunConfig, AGGREGATES_VERSION,
+    JsonF64, JsonStr, PointEvent, ResultCache, RunConfig, AGGREGATES_VERSION,
 };
 
 use synapse_trace::TraceRecorder;
@@ -709,9 +709,9 @@ fn run_job(state: &ServerState, job: &Arc<Job>) {
 /// Serialize the hot per-point event by hand: at ~100k points/s the
 /// `json!` Value tree (a dozen allocations per event, built on the
 /// sweep thread) was the single biggest observer cost. Keys are in
-/// the same sorted order the tree serializer emits, strings go
-/// through the vendored serde_json escaper, and floats mirror its
-/// formatting rules exactly, so the wire shape is indistinguishable.
+/// the same sorted order the tree serializer emits, and strings and
+/// floats go through the shared [`JsonStr`]/[`JsonF64`] writers, so
+/// the wire shape is indistinguishable.
 fn point_event_line(
     result: &synapse_campaign::PointResult,
     cached: bool,
@@ -719,31 +719,19 @@ fn point_event_line(
     total: usize,
 ) -> String {
     use std::fmt::Write as _;
-    fn push_f64(out: &mut String, value: f64) {
-        if !value.is_finite() {
-            out.push_str("null");
-        } else if value == value.trunc() && value.abs() < 1e16 {
-            let _ = write!(out, "{value:.1}");
-        } else {
-            let _ = write!(out, "{value}");
-        }
-    }
     let mut line = String::with_capacity(416);
-    line.push_str("{\"app_tx\":");
-    push_f64(&mut line, result.app_tx);
-    line.push_str(",\"cached\":");
-    line.push_str(if cached { "true" } else { "false" });
-    let _ = write!(line, ",\"done\":{done},\"error_pct\":");
-    push_f64(&mut line, result.error_pct());
-    line.push_str(",\"event\":\"point\",\"fingerprint\":");
-    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-    line.push_str(&serde_json::to_string(&result.fingerprint).expect("fingerprint serializes"));
-    let _ = write!(line, ",\"index\":{},\"label\":", result.point.index);
-    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-    line.push_str(&serde_json::to_string(&result.point.label()).expect("label serializes"));
-    let _ = write!(line, ",\"total\":{total},\"tx\":");
-    push_f64(&mut line, result.tx);
-    line.push('}');
+    let _ = write!(
+        line,
+        "{{\"app_tx\":{},\"cached\":{cached},\"done\":{done},\"error_pct\":{},\
+         \"event\":\"point\",\"fingerprint\":{},\"index\":{},\"label\":{},\
+         \"total\":{total},\"tx\":{}}}",
+        JsonF64(result.app_tx),
+        JsonF64(result.error_pct()),
+        JsonStr(&result.fingerprint),
+        result.point.index,
+        JsonStr(&result.point.label()),
+        JsonF64(result.tx),
+    );
     line
 }
 
@@ -782,8 +770,7 @@ pub fn lease_batch_line(
         payload.push_str("{\"cached\":");
         payload.push_str(if *cached { "true" } else { "false" });
         payload.push_str(",\"result\":");
-        // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-        payload.push_str(&serde_json::to_string(&**result).expect("result serializes"));
+        result.write_json(&mut payload);
         payload.push('}');
     }
     payload.push(']');
@@ -795,12 +782,7 @@ pub fn lease_batch_line(
         payload.len(),
     );
     if let Some(trace) = trace {
-        let _ = write!(
-            line,
-            ",\"trace\":{}",
-            // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-            serde_json::to_string(trace).expect("trace id serializes")
-        );
+        let _ = write!(line, ",\"trace\":{}", JsonStr(trace));
     }
     let _ = write!(line, ",\"points\":{payload}}}");
     line

@@ -16,13 +16,14 @@
 //! * [`FileStore`] — one profile per JSON file, unlimited samples.
 //! * [`ProfileStore`] — the backend-independent interface the profiler
 //!   and emulator use ("search the database for a matching profile").
-//! * [`ShardedDb`] — a sharded, compacting store for very large
-//!   keyspaces (campaign result caches): 256 shard files by key
-//!   prefix, dirty-shard-only saves, a manifest recording the layout,
-//!   and a compaction pass merging small shards. On-disk stores are
-//!   multi-process safe: opens/saves/compactions run under an advisory
-//!   [`FileLock`] and dirty saves merge back documents concurrent
-//!   processes added, so cluster workers can share one cache directory.
+//! * [`ShardedDb`] — a sharded, compacting key/value store for very
+//!   large keyspaces (campaign result caches): opaque byte values in
+//!   256 binary shard files by key prefix, dirty-shard-only saves, a
+//!   manifest recording the layout, and a compaction pass merging
+//!   small shards. On-disk stores are multi-process safe:
+//!   opens/saves/compactions run under an advisory [`FileLock`] and
+//!   dirty saves merge back values concurrent processes added, so
+//!   cluster workers can share one cache directory.
 
 pub mod collection;
 pub mod db;

@@ -1,4 +1,4 @@
-//! A sharded, compacting document store for very large key spaces.
+//! A sharded, compacting key/value store for very large key spaces.
 //!
 //! [`DocumentDb`](crate::DocumentDb) persists each collection as one
 //! JSON file, so every save rewrites the whole collection — quadratic
@@ -6,14 +6,15 @@
 //! logical keyspace over 256 shard files by key prefix, tracks which
 //! shards were mutated since the last save, and only rewrites those.
 //! A million-point result store then pays for what changed, not for
-//! what exists.
+//! what exists. Values are opaque bytes: the owner picks the encoding
+//! (the campaign cache stores compact binary records).
 //!
 //! On-disk layout under the store directory:
 //!
 //! ```text
 //! <dir>/manifest.json     shard layout, doc counts, engine tag
-//! <dir>/shards/ab.json    documents of shard 0xab (JSON array)
-//! <dir>/shards/0c-11.json a compacted file holding several shards
+//! <dir>/shards/ab.bin     records of shard 0xab (see encode_shard)
+//! <dir>/shards/0c-11.bin  a compacted file holding several shards
 //! ```
 //!
 //! The manifest maps every occupied shard to exactly one data file.
@@ -23,7 +24,7 @@
 //! into hundreds of near-empty files. Writes go through a temp-file +
 //! rename so a crash mid-save never truncates existing data.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -34,7 +35,7 @@ use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 use synapse_telemetry::Counter;
 
-use crate::document::{Document, DEFAULT_DOC_LIMIT};
+use crate::document::DEFAULT_DOC_LIMIT;
 use crate::error::StoreError;
 use crate::lock::FileLock;
 
@@ -52,8 +53,16 @@ pub const SHARD_DIR: &str = "shards";
 /// directory (see [`crate::lock`]).
 pub const LOCK_FILE: &str = "store.lock";
 
-/// On-disk layout version; bump on incompatible manifest changes.
-pub const FORMAT_VERSION: u32 = 1;
+/// On-disk layout version; bump on incompatible manifest or shard
+/// file changes. A directory of another version is refused with
+/// [`StoreError::Corrupt`].
+///
+/// v2: shard files hold binary key/value records ([`encode_shard`])
+/// instead of JSON document arrays.
+pub const FORMAT_VERSION: u32 = 2;
+
+/// Magic bytes opening every shard data file.
+pub const SHARD_MAGIC: &[u8; 8] = b"SYNSHARD";
 
 /// Compaction default: merge neighbouring shards until a data file
 /// holds at least this many documents (the last file may hold fewer).
@@ -96,7 +105,7 @@ pub struct SaveStats {
     pub data_files_written: usize,
     /// Shard data files deleted (all their documents removed).
     pub data_files_removed: usize,
-    /// Documents serialized into the written files.
+    /// Records encoded into the written files.
     pub docs_written: usize,
     /// Whether the manifest was rewritten.
     pub manifest_written: bool,
@@ -167,7 +176,7 @@ struct Group {
 impl Group {
     fn singleton(shard: u8) -> Group {
         Group {
-            file: format!("{shard:02x}.json"),
+            file: format!("{shard:02x}.bin"),
             shards: vec![shard],
         }
     }
@@ -175,23 +184,26 @@ impl Group {
     fn spanning(shards: Vec<u8>) -> Group {
         debug_assert!(!shards.is_empty());
         let file = if shards.len() == 1 {
-            format!("{:02x}.json", shards[0])
+            format!("{:02x}.bin", shards[0])
         } else {
-            format!("{:02x}-{:02x}.json", shards[0], shards[shards.len() - 1])
+            format!("{:02x}-{:02x}.bin", shards[0], shards[shards.len() - 1])
         };
         Group { file, shards }
     }
 }
 
+/// One bucket of the keyspace: keys to opaque values.
+type Bucket = BTreeMap<String, Vec<u8>>;
+
 struct State {
     /// One bucket per shard, keys ordered within each bucket.
-    shards: Vec<BTreeMap<String, Document>>,
+    shards: Vec<Bucket>,
     /// Shards mutated since the last successful save.
     dirty: Vec<bool>,
     /// Keys removed since the last save: the lock-aware reconcile must
     /// not resurrect them from disk (deletion-vs-foreign-insert is
     /// undecidable from file contents alone).
-    removed: std::collections::BTreeSet<String>,
+    removed: BTreeSet<String>,
     /// Current on-disk layout (empty until the first save).
     groups: Vec<Group>,
     /// Whether the on-disk manifest reflects `groups` and doc counts.
@@ -228,7 +240,7 @@ impl State {
         State {
             shards: (0..SHARD_COUNT).map(|_| BTreeMap::new()).collect(),
             dirty: vec![false; SHARD_COUNT],
-            removed: std::collections::BTreeSet::new(),
+            removed: BTreeSet::new(),
             groups: Vec::new(),
             manifest_synced: false,
         }
@@ -239,7 +251,8 @@ impl State {
     }
 }
 
-/// A sharded, compacting document store over one logical keyspace.
+/// A sharded, compacting key/value store over one logical keyspace.
+/// Each value (a "document") is opaque bytes, at most `doc_limit` long.
 ///
 /// On-disk stores are multi-process safe: every open/save/compact runs
 /// under an exclusive advisory lock on `<dir>/store.lock`, and dirty
@@ -343,6 +356,170 @@ fn read_disk_manifest(dir: &Path) -> Result<Option<DiskManifest>, StoreError> {
     Ok(Some((groups, doc_counts)))
 }
 
+/// One decoded shard-file record: a key and its value.
+pub type Record = (String, Vec<u8>);
+
+/// Encode records as one shard data file: [`SHARD_MAGIC`],
+/// [`FORMAT_VERSION`] as a little-endian `u32`, the record count as a
+/// little-endian `u64`, then per record the key's byte length, its
+/// UTF-8 bytes, the value's byte length and the value bytes. Lengths
+/// are LEB128 varints (one byte below 128).
+pub fn encode_shard<'a>(records: &[(&'a str, &'a [u8])]) -> Vec<u8> {
+    let body: usize = records.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+    let mut out = Vec::with_capacity(SHARD_MAGIC.len() + 12 + body);
+    out.extend_from_slice(SHARD_MAGIC);
+    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+    out.extend_from_slice(&(records.len() as u64).to_le_bytes());
+    for (key, value) in records {
+        put_varint(&mut out, key.len() as u64);
+        out.extend_from_slice(key.as_bytes());
+        put_varint(&mut out, value.len() as u64);
+        out.extend_from_slice(value);
+    }
+    out
+}
+
+/// Decode a shard data file written by [`encode_shard`]. Truncated,
+/// trailing, wrong-magic, wrong-version or non-UTF-8-key input is
+/// [`StoreError::Corrupt`]; decoding never panics.
+pub fn decode_shard(bytes: &[u8]) -> Result<Vec<Record>, StoreError> {
+    let mut r = ShardReader(bytes);
+    if r.take(SHARD_MAGIC.len())? != SHARD_MAGIC {
+        return Err(StoreError::Corrupt("shard file has no shard magic".into()));
+    }
+    let version = u32::from_le_bytes(r.array()?);
+    if version != FORMAT_VERSION {
+        return Err(StoreError::Corrupt(format!(
+            "shard file format {version} (this engine reads {FORMAT_VERSION})"
+        )));
+    }
+    let count = u64::from_le_bytes(r.array()?);
+    // Every record takes at least two bytes, so a count the input
+    // cannot hold is rejected before it sizes an allocation.
+    if count > (r.0.len() / 2) as u64 {
+        return Err(StoreError::Corrupt(format!(
+            "shard file declares {count} records in {} bytes",
+            r.0.len()
+        )));
+    }
+    let mut records = Vec::with_capacity(count as usize);
+    for _ in 0..count {
+        let key_len = r.len()?;
+        let key = std::str::from_utf8(r.take(key_len)?)
+            .map_err(|_| StoreError::Corrupt("shard file key is not UTF-8".into()))?;
+        let value_len = r.len()?;
+        records.push((key.to_string(), r.take(value_len)?.to_vec()));
+    }
+    if !r.0.is_empty() {
+        return Err(StoreError::Corrupt(format!(
+            "{} trailing bytes after the last shard record",
+            r.0.len()
+        )));
+    }
+    Ok(records)
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// A bounds-checked cursor over a shard file.
+struct ShardReader<'a>(&'a [u8]);
+
+impl<'a> ShardReader<'a> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
+        if n > self.0.len() {
+            return Err(StoreError::Corrupt("shard file is truncated".into()));
+        }
+        let (head, tail) = self.0.split_at(n);
+        self.0 = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], StoreError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    /// A LEB128 length prefix.
+    fn len(&mut self) -> Result<usize, StoreError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let [b] = self.array()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                return usize::try_from(v)
+                    .map_err(|_| StoreError::Corrupt("shard record length overflows".into()));
+            }
+        }
+        Err(StoreError::Corrupt("shard record length overflows".into()))
+    }
+}
+
+/// Read and decode one shard data file.
+fn read_shard(path: &Path) -> Result<Vec<Record>, StoreError> {
+    decode_shard(&fs::read(path)?)
+}
+
+/// Reject a value longer than `limit` bytes.
+fn check_limit(value: &[u8], limit: usize) -> Result<(), StoreError> {
+    if value.len() > limit {
+        Err(StoreError::DocumentTooLarge {
+            size: value.len(),
+            limit,
+        })
+    } else {
+        Ok(())
+    }
+}
+
+/// Check the records read from `group`'s data file: each must route
+/// to one of the group's shards (else the file is corrupt) and fit
+/// the size limit.
+fn check_records(group: &Group, records: &[Record], limit: usize) -> Result<(), StoreError> {
+    for (key, value) in records {
+        let shard = shard_of(key);
+        if !group.shards.contains(&shard) {
+            return Err(StoreError::Corrupt(format!(
+                "document {key:?} routes to shard {shard:02x}, outside its data file {:?}",
+                group.file
+            )));
+        }
+        check_limit(value, limit)?;
+    }
+    Ok(())
+}
+
+/// Fold records read from disk into `shards`, skipping keys this
+/// handle already holds or has removed (local mutations and tombstones
+/// win). Returns how many records were added.
+fn fold_in(shards: &mut [Bucket], removed: &BTreeSet<String>, records: Vec<Record>) -> u64 {
+    let mut added = 0;
+    for (key, value) in records {
+        let bucket = &mut shards[shard_of(&key) as usize];
+        if !bucket.contains_key(&key) && !removed.contains(&key) {
+            bucket.insert(key, value);
+            added += 1;
+        }
+    }
+    added
+}
+
+/// The records of `group`'s shards, as [`encode_shard`] input.
+fn group_records<'a>(shards: &'a [Bucket], group: &Group) -> Vec<(&'a str, &'a [u8])> {
+    group
+        .shards
+        .iter()
+        .flat_map(|&s| shards[s as usize].iter())
+        .map(|(k, v)| (k.as_str(), v.as_slice()))
+        .collect()
+}
+
 impl ShardedDb {
     /// An in-memory store (no persistence; `save` is a no-op).
     pub fn in_memory() -> Self {
@@ -428,20 +605,11 @@ impl ShardedDb {
         // file reads.
         let lock = db.lock_dir(&dir)?;
         let (groups, _doc_counts) = read_disk_manifest(&dir)?.unwrap_or_default();
-        let docs_per_group = Self::load_groups(&dir, &groups, workers)?;
+        let records_per_group = Self::load_groups(&dir, &groups, workers)?;
         let mut state = State::empty();
-        for (group, docs) in groups.iter().zip(docs_per_group) {
-            for doc in docs {
-                doc.check_limit(doc_limit)?;
-                let shard = shard_of(&doc.id);
-                if !group.shards.contains(&shard) {
-                    return Err(StoreError::Corrupt(format!(
-                        "document {:?} routes to shard {shard:02x}, outside its data file {:?}",
-                        doc.id, group.file
-                    )));
-                }
-                state.shards[shard as usize].insert(doc.id.clone(), doc);
-            }
+        for (group, records) in groups.iter().zip(records_per_group) {
+            check_records(group, &records, doc_limit)?;
+            fold_in(&mut state.shards, &state.removed, records);
         }
         state.groups = groups;
         state.manifest_synced = true;
@@ -464,7 +632,7 @@ impl ShardedDb {
         dir: &Path,
         groups: &[Group],
         workers: usize,
-    ) -> Result<Vec<Vec<Document>>, StoreError> {
+    ) -> Result<Vec<Vec<Record>>, StoreError> {
         let shard_root = dir.join(SHARD_DIR);
         let auto = std::thread::available_parallelism()
             .map(|n| n.get())
@@ -473,7 +641,7 @@ impl ShardedDb {
         let workers = if workers == 0 { auto } else { workers }.clamp(1, groups.len().max(1));
 
         let next = AtomicUsize::new(0);
-        let loaded: Mutex<Vec<Option<Vec<Document>>>> = Mutex::new(vec![None; groups.len()]);
+        let loaded: Mutex<Vec<Option<Vec<Record>>>> = Mutex::new(vec![None; groups.len()]);
         let first_error: Mutex<Option<StoreError>> = Mutex::new(None);
         std::thread::scope(|scope| {
             for _ in 0..workers {
@@ -485,12 +653,8 @@ impl ShardedDb {
                     if first_error.lock().expect("error lock").is_some() {
                         return;
                     }
-                    let path = shard_root.join(&groups[idx].file);
-                    let outcome = fs::read_to_string(&path)
-                        .map_err(StoreError::from)
-                        .and_then(|json| Ok(serde_json::from_str::<Vec<Document>>(&json)?));
-                    match outcome {
-                        Ok(docs) => loaded.lock().expect("load lock")[idx] = Some(docs),
+                    match read_shard(&shard_root.join(&groups[idx].file)) {
+                        Ok(records) => loaded.lock().expect("load lock")[idx] = Some(records),
                         Err(e) => {
                             first_error.lock().expect("error lock").get_or_insert(e);
                             return;
@@ -525,7 +689,8 @@ impl ShardedDb {
         self.doc_limit
     }
 
-    /// Fetch a document by key (cloned out of the lock).
+    /// Apply `read` to the value stored under `key`, in place under the
+    /// store's lock (no copy of the value), and return what it returns.
     ///
     /// On-disk stores are cross-process readable: when the in-memory
     /// image misses, the store checks (one `stat`) whether another
@@ -536,12 +701,12 @@ impl ShardedDb {
     /// insert-only (local mutations and tombstones win) and per
     /// manifest generation, so a miss storm on an unchanged directory
     /// costs one `stat` per miss and no reads.
-    pub fn get(&self, key: &str) -> Option<Document> {
+    pub fn get<R>(&self, key: &str, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let shard = shard_of(key);
-        if let Some(doc) = self.state.read().shards[shard as usize].get(key) {
-            return Some(doc.clone());
+        if let Some(value) = self.state.read().shards[shard as usize].get(key) {
+            return Some(read(value));
         }
-        self.reload_on_miss(key, shard)
+        self.reload_on_miss(key, shard, read)
     }
 
     /// The miss path of [`get`](ShardedDb::get): fold the missed
@@ -550,7 +715,7 @@ impl ShardedDb {
     /// race saves without the directory lock (data files are replaced
     /// by atomic rename, so a read sees a complete old or new file,
     /// never a torn one), and any read failure just stays a miss.
-    fn reload_on_miss(&self, key: &str, shard: u8) -> Option<Document> {
+    fn reload_on_miss<R>(&self, key: &str, shard: u8, read: impl FnOnce(&[u8]) -> R) -> Option<R> {
         let dir = self.dir.as_deref()?;
         let stamp = manifest_stamp(dir)?;
         let generation = {
@@ -571,30 +736,18 @@ impl ShardedDb {
             .flatten()
             .and_then(|(groups, _)| {
                 let group = groups.into_iter().find(|g| g.shards.contains(&shard))?;
-                let json = fs::read_to_string(dir.join(SHARD_DIR).join(&group.file)).ok()?;
-                let docs = serde_json::from_str::<Vec<Document>>(&json).ok()?;
-                Some((group, docs))
+                let records = read_shard(&dir.join(SHARD_DIR).join(&group.file)).ok()?;
+                Some((group, records))
             });
         let mut probe = self.reload.lock().expect("reload probe lock");
         let hit = match folded {
-            Some((group, docs)) => {
-                let mut state = self.state.write();
-                let mut merged = 0u64;
-                for doc in docs {
-                    let s = shard_of(&doc.id);
-                    // Skip documents that don't belong (corrupt file),
-                    // were locally removed (tombstones win), or that we
-                    // already hold (local mutations win).
-                    if !group.shards.contains(&s)
-                        || state.removed.contains(&doc.id)
-                        || state.shards[s as usize].contains_key(&doc.id)
-                    {
-                        continue;
-                    }
-                    // Folded docs are already on disk: not dirty.
-                    state.shards[s as usize].insert(doc.id.clone(), doc);
-                    merged += 1;
-                }
+            Some((group, mut records)) => {
+                // Skip records that don't belong (corrupt file).
+                records.retain(|(key, _)| group.shards.contains(&shard_of(key)));
+                let mut guard = self.state.write();
+                let state = &mut *guard;
+                // Folded records are already on disk: not dirty.
+                let merged = fold_in(&mut state.shards, &state.removed, records);
                 self.reconciled_docs.add(merged);
                 // The whole file was folded: every shard it covers is
                 // now synced to this generation.
@@ -602,7 +755,7 @@ impl ShardedDb {
                     let synced = &mut probe.shard_synced[*s as usize];
                     *synced = (*synced).max(generation);
                 }
-                state.shards[shard as usize].get(key).cloned()
+                state.shards[shard as usize].get(key).map(|v| read(v))
             }
             // No group covers the shard, or the racing save replaced
             // the file under us: stay a miss, but don't retry until
@@ -615,20 +768,20 @@ impl ShardedDb {
         hit
     }
 
-    /// Insert or replace a document under its id.
-    pub fn upsert(&self, doc: Document) -> Result<(), StoreError> {
-        doc.check_limit(self.doc_limit)?;
-        let shard = shard_of(&doc.id) as usize;
+    /// Insert or replace the value under `key`.
+    pub fn upsert(&self, key: &str, value: Vec<u8>) -> Result<(), StoreError> {
+        check_limit(&value, self.doc_limit)?;
+        let shard = shard_of(key) as usize;
         let mut state = self.state.write();
-        state.removed.remove(&doc.id);
-        state.shards[shard].insert(doc.id.clone(), doc);
+        state.removed.remove(key);
+        state.shards[shard].insert(key.to_string(), value);
         state.dirty[shard] = true;
         Ok(())
     }
 
-    /// Remove a document by key, returning it. The shard is marked
-    /// dirty so the next save rewrites (or tombstones) its file.
-    pub fn remove(&self, key: &str) -> Option<Document> {
+    /// Remove a key, returning its value. The shard is marked dirty so
+    /// the next save rewrites (or tombstones) its file.
+    pub fn remove(&self, key: &str) -> Option<Vec<u8>> {
         let shard = shard_of(key) as usize;
         let mut state = self.state.write();
         let removed = state.shards[shard].remove(key);
@@ -659,17 +812,6 @@ impl ShardedDb {
             .collect();
         keys.sort();
         keys
-    }
-
-    /// Visit every document in shard order (keys ordered within each
-    /// shard).
-    pub fn for_each(&self, mut f: impl FnMut(&Document)) {
-        let state = self.state.read();
-        for shard in &state.shards {
-            for doc in shard.values() {
-                f(doc);
-            }
-        }
     }
 
     /// Shards mutated since the last save (sorted).
@@ -746,22 +888,9 @@ impl ShardedDb {
             if !path.exists() {
                 continue;
             }
-            let docs: Vec<Document> = serde_json::from_str(&fs::read_to_string(&path)?)?;
-            for doc in docs {
-                doc.check_limit(self.doc_limit)?;
-                let shard = shard_of(&doc.id);
-                if !group.shards.contains(&shard) {
-                    return Err(StoreError::Corrupt(format!(
-                        "document {:?} routes to shard {shard:02x}, outside its data file {:?}",
-                        doc.id, group.file
-                    )));
-                }
-                let bucket = &mut shards[shard as usize];
-                if !bucket.contains_key(&doc.id) && !removed.contains(&doc.id) {
-                    bucket.insert(doc.id.clone(), doc);
-                    reconciled += 1;
-                }
-            }
+            let records = read_shard(&path)?;
+            check_records(group, &records, self.doc_limit)?;
+            reconciled += fold_in(shards, removed, records);
         }
         if reconciled > 0 {
             self.reconciled_docs.add(reconciled);
@@ -793,22 +922,18 @@ impl ShardedDb {
                 kept.push(group);
                 continue;
             }
-            let docs: Vec<&Document> = group
-                .shards
-                .iter()
-                .flat_map(|&s| shards[s as usize].values())
-                .collect();
+            let records = group_records(shards, &group);
             let path = shard_root.join(&group.file);
-            if docs.is_empty() {
+            if records.is_empty() {
                 // Every document of this file is gone: tombstone it.
                 if path.exists() {
                     fs::remove_file(&path)?;
                     stats.data_files_removed += 1;
                 }
             } else {
-                write_atomic(&path, &serde_json::to_string(&docs)?)?;
+                write_atomic(&path, &encode_shard(&records))?;
                 stats.data_files_written += 1;
-                stats.docs_written += docs.len();
+                stats.docs_written += records.len();
                 kept.push(group);
             }
         }
@@ -846,7 +971,10 @@ impl ShardedDb {
                 })
                 .collect(),
         };
-        write_atomic(&dir.join(MANIFEST_FILE), &serde_json::to_string(&manifest)?)?;
+        write_atomic(
+            &dir.join(MANIFEST_FILE),
+            serde_json::to_string(&manifest)?.as_bytes(),
+        )?;
         // Commit: every write landed, so the new layout becomes real.
         stats.manifest_written = true;
         *groups = kept;
@@ -891,16 +1019,10 @@ impl ShardedDb {
                 if !path.exists() {
                     continue;
                 }
-                let docs: Vec<Document> = serde_json::from_str(&fs::read_to_string(&path)?)?;
-                for doc in docs {
-                    doc.check_limit(self.doc_limit)?;
-                    let key_removed = state.removed.contains(&doc.id);
-                    let bucket = &mut state.shards[shard_of(&doc.id) as usize];
-                    if !bucket.contains_key(&doc.id) && !key_removed {
-                        bucket.insert(doc.id.clone(), doc);
-                        reconciled += 1;
-                    }
-                }
+                let records = read_shard(&path)?;
+                check_records(group, &records, self.doc_limit)?;
+                let state = &mut *state;
+                reconciled += fold_in(&mut state.shards, &state.removed, records);
             }
             if reconciled > 0 {
                 self.reconciled_docs.add(reconciled);
@@ -947,15 +1069,8 @@ impl ShardedDb {
 
         fs::create_dir_all(&shard_root)?;
         for group in &new_groups {
-            let docs: Vec<&Document> = group
-                .shards
-                .iter()
-                .flat_map(|&s| state.shards[s as usize].values())
-                .collect();
-            write_atomic(
-                &shard_root.join(&group.file),
-                &serde_json::to_string(&docs)?,
-            )?;
+            let records = group_records(&state.shards, group);
+            write_atomic(&shard_root.join(&group.file), &encode_shard(&records))?;
         }
         let manifest = Manifest {
             format: FORMAT_VERSION,
@@ -978,7 +1093,10 @@ impl ShardedDb {
         // are files of the old layout removed, so a crash in between
         // leaves a manifest whose every referenced file exists (the
         // orphans are invisible to `open` and swept by a later pass).
-        write_atomic(&dir.join(MANIFEST_FILE), &serde_json::to_string(&manifest)?)?;
+        write_atomic(
+            &dir.join(MANIFEST_FILE),
+            serde_json::to_string(&manifest)?.as_bytes(),
+        )?;
         let files_after = new_groups.len();
         state.groups = new_groups;
         state.manifest_synced = true;
@@ -1046,8 +1164,9 @@ fn sweep_stale_files(shard_root: &Path, groups: &[Group]) -> Result<(), StoreErr
 
 /// Write via a temp file + rename so readers never observe a
 /// half-written file and a crash cannot truncate existing data.
-fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
-    let tmp = path.with_extension("json.tmp");
+fn write_atomic(path: &Path, contents: &[u8]) -> Result<(), StoreError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
     fs::write(&tmp, contents)?;
     fs::rename(&tmp, path)?;
     Ok(())
@@ -1056,14 +1175,10 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde_json::json;
     use std::time::SystemTime;
 
-    fn doc(id: &str, n: i64) -> Document {
-        Document {
-            id: id.into(),
-            body: json!({"n": n}),
-        }
+    fn val(n: i64) -> Vec<u8> {
+        n.to_le_bytes().to_vec()
     }
 
     /// A 16-hex-digit key landing in shard `shard` (fingerprint-like).
@@ -1095,12 +1210,12 @@ mod tests {
     fn upsert_get_remove_and_dirty_tracking() {
         let db = ShardedDb::in_memory();
         assert!(db.is_empty());
-        db.upsert(doc(&hexkey(0x11, 1), 1)).unwrap();
-        db.upsert(doc(&hexkey(0x22, 2), 2)).unwrap();
+        db.upsert(&hexkey(0x11, 1), val(1)).unwrap();
+        db.upsert(&hexkey(0x22, 2), val(2)).unwrap();
         assert_eq!(db.len(), 2);
         assert_eq!(db.dirty_shards(), vec![0x11, 0x22]);
-        assert_eq!(db.get(&hexkey(0x11, 1)).unwrap().body["n"], 1);
-        assert!(db.get(&hexkey(0x33, 3)).is_none());
+        assert_eq!(db.get(&hexkey(0x11, 1), <[u8]>::to_vec).unwrap(), val(1));
+        assert!(db.get(&hexkey(0x33, 3), <[u8]>::to_vec).is_none());
         assert!(db.remove(&hexkey(0x11, 1)).is_some());
         assert!(db.remove(&hexkey(0x11, 1)).is_none());
         assert_eq!(db.len(), 1);
@@ -1109,12 +1224,8 @@ mod tests {
     #[test]
     fn doc_limit_enforced() {
         let db = ShardedDb::in_memory_with_limit(16);
-        let big = Document {
-            id: hexkey(0, 0),
-            body: json!({"p": "x".repeat(64)}),
-        };
         assert!(matches!(
-            db.upsert(big),
+            db.upsert(&hexkey(0, 0), vec![b'x'; 64]),
             Err(StoreError::DocumentTooLarge { .. })
         ));
     }
@@ -1125,7 +1236,7 @@ mod tests {
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "test-engine").unwrap();
         for s in [0x00u8, 0x7f, 0xff] {
             for t in 0..3 {
-                db.upsert(doc(&hexkey(s, t), t as i64)).unwrap();
+                db.upsert(&hexkey(s, t), val(t as i64)).unwrap();
             }
         }
         let stats = db.save().unwrap();
@@ -1133,11 +1244,11 @@ mod tests {
         assert_eq!(stats.docs_written, 9);
         assert!(stats.manifest_written);
         assert!(dir.join(MANIFEST_FILE).exists());
-        assert!(dir.join(SHARD_DIR).join("7f.json").exists());
+        assert!(dir.join(SHARD_DIR).join("7f.bin").exists());
 
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "test-engine").unwrap();
         assert_eq!(back.len(), 9);
-        assert_eq!(back.get(&hexkey(0x7f, 2)).unwrap().body["n"], 2);
+        assert_eq!(back.get(&hexkey(0x7f, 2), <[u8]>::to_vec).unwrap(), val(2));
         assert!(back.dirty_shards().is_empty());
         assert_eq!(back.stats().engine, "test-engine");
         fs::remove_dir_all(&dir).unwrap();
@@ -1150,7 +1261,7 @@ mod tests {
         // 10k docs spread over all 256 shards: the monolithic-store
         // pathology this type exists to fix.
         for t in 0..10_000u64 {
-            db.upsert(doc(&hexkey((t % 256) as u8, t), t as i64))
+            db.upsert(&hexkey((t % 256) as u8, t), val(t as i64))
                 .unwrap();
         }
         let first = db.save().unwrap();
@@ -1164,7 +1275,7 @@ mod tests {
         };
         let before: Vec<(String, SystemTime)> = (0..256)
             .map(|s| {
-                let name = format!("{s:02x}.json");
+                let name = format!("{s:02x}.bin");
                 let t = mtime(&name);
                 (name, t)
             })
@@ -1174,7 +1285,7 @@ mod tests {
         std::thread::sleep(std::time::Duration::from_millis(25));
 
         // One new point: exactly one data file (+ manifest) rewrites.
-        db.upsert(doc(&hexkey(0x42, 99_999), -1)).unwrap();
+        db.upsert(&hexkey(0x42, 99_999), val(-1)).unwrap();
         assert_eq!(db.dirty_shards(), vec![0x42]);
         let second = db.save().unwrap();
         assert_eq!(second.data_files_written, 1, "{second:?}");
@@ -1184,7 +1295,7 @@ mod tests {
             .filter(|(name, t)| mtime(name) != *t)
             .map(|(name, _)| name.as_str())
             .collect();
-        assert_eq!(rewritten, vec!["42.json"], "only the dirty shard file");
+        assert_eq!(rewritten, vec!["42.bin"], "only the dirty shard file");
 
         // Nothing dirty ⇒ nothing written at all.
         let third = db.save().unwrap();
@@ -1196,14 +1307,14 @@ mod tests {
     fn removing_all_docs_of_a_shard_tombstones_its_file() {
         let dir = tmpdir("tombstone");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        db.upsert(doc(&hexkey(0x10, 1), 1)).unwrap();
-        db.upsert(doc(&hexkey(0x20, 2), 2)).unwrap();
+        db.upsert(&hexkey(0x10, 1), val(1)).unwrap();
+        db.upsert(&hexkey(0x20, 2), val(2)).unwrap();
         db.save().unwrap();
-        assert!(dir.join(SHARD_DIR).join("10.json").exists());
+        assert!(dir.join(SHARD_DIR).join("10.bin").exists());
         db.remove(&hexkey(0x10, 1)).unwrap();
         let stats = db.save().unwrap();
         assert_eq!(stats.data_files_removed, 1);
-        assert!(!dir.join(SHARD_DIR).join("10.json").exists());
+        assert!(!dir.join(SHARD_DIR).join("10.bin").exists());
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
@@ -1215,7 +1326,7 @@ mod tests {
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         for s in 0..32u8 {
             for t in 0..4 {
-                db.upsert(doc(&hexkey(s, t), t as i64)).unwrap();
+                db.upsert(&hexkey(s, t), val(t as i64)).unwrap();
             }
         }
         db.save().unwrap();
@@ -1226,8 +1337,8 @@ mod tests {
         assert_eq!(pass.files_before, 32);
         // 32 shards × 4 docs at a 40-doc target ⇒ 10-shard groups.
         assert_eq!(pass.files_after, 4);
-        assert!(dir.join(SHARD_DIR).join("00-09.json").exists());
-        assert!(!dir.join(SHARD_DIR).join("00.json").exists());
+        assert!(dir.join(SHARD_DIR).join("00-09.bin").exists());
+        assert!(!dir.join(SHARD_DIR).join("00.bin").exists());
 
         let again = db.compact_with_target(40).unwrap();
         assert!(!again.changed, "{again:?}");
@@ -1237,7 +1348,7 @@ mod tests {
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 32 * 4);
         assert_eq!(back.stats().data_files, 4);
-        assert_eq!(back.get(&hexkey(0x1f, 3)).unwrap().body["n"], 3);
+        assert_eq!(back.get(&hexkey(0x1f, 3), <[u8]>::to_vec).unwrap(), val(3));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1246,22 +1357,22 @@ mod tests {
         let dir = tmpdir("compact-dirty");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         for s in 0..16u8 {
-            db.upsert(doc(&hexkey(s, 0), 0)).unwrap();
+            db.upsert(&hexkey(s, 0), val(0)).unwrap();
         }
         db.save().unwrap();
         db.compact_with_target(8).unwrap();
         assert_eq!(db.stats().data_files, 2);
 
-        db.upsert(doc(&hexkey(0x03, 9), 9)).unwrap();
+        db.upsert(&hexkey(0x03, 9), val(9)).unwrap();
         let stats = db.save().unwrap();
         assert_eq!(stats.data_files_written, 1);
         assert_eq!(stats.docs_written, 9, "whole 8-shard group rewritten");
 
         // A shard outside any group gets a fresh singleton file.
-        db.upsert(doc(&hexkey(0xaa, 1), 1)).unwrap();
+        db.upsert(&hexkey(0xaa, 1), val(1)).unwrap();
         let stats = db.save().unwrap();
         assert_eq!(stats.data_files_written, 1);
-        assert!(dir.join(SHARD_DIR).join("aa.json").exists());
+        assert!(dir.join(SHARD_DIR).join("aa.bin").exists());
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 18);
         fs::remove_dir_all(&dir).unwrap();
@@ -1272,7 +1383,7 @@ mod tests {
         let dir = tmpdir("parallel");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         for t in 0..2_000u64 {
-            db.upsert(doc(&hexkey((t % 64) as u8, t), t as i64))
+            db.upsert(&hexkey((t % 64) as u8, t), val(t as i64))
                 .unwrap();
         }
         db.save().unwrap();
@@ -1296,9 +1407,24 @@ mod tests {
     fn corrupt_manifests_are_rejected() {
         let dir = tmpdir("corrupt");
         fs::create_dir_all(&dir).unwrap();
+        // A future format, and format 1 (JSON shard files).
+        for format in [99, 1] {
+            fs::write(
+                dir.join(MANIFEST_FILE),
+                format!(r#"{{"format":{format},"engine":"e","shard_count":256,"groups":[]}}"#),
+            )
+            .unwrap();
+            assert!(matches!(
+                ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e"),
+                Err(StoreError::Corrupt(_))
+            ));
+        }
+        // A current manifest naming a data file that is not a shard file.
+        fs::create_dir_all(dir.join(SHARD_DIR)).unwrap();
+        fs::write(dir.join(SHARD_DIR).join("03.json"), "[]").unwrap();
         fs::write(
             dir.join(MANIFEST_FILE),
-            r#"{"format":99,"engine":"e","shard_count":256,"groups":[]}"#,
+            r#"{"format":2,"engine":"e","shard_count":256,"groups":[{"file":"03.json","shards":[3],"docs":0}]}"#,
         )
         .unwrap();
         assert!(matches!(
@@ -1307,7 +1433,7 @@ mod tests {
         ));
         fs::write(
             dir.join(MANIFEST_FILE),
-            r#"{"format":1,"engine":"e","shard_count":256,"groups":[{"file":"a.json","shards":[3],"docs":0},{"file":"b.json","shards":[3],"docs":0}]}"#,
+            r#"{"format":2,"engine":"e","shard_count":256,"groups":[{"file":"a.bin","shards":[3],"docs":0},{"file":"b.bin","shards":[3],"docs":0}]}"#,
         )
         .unwrap();
         assert!(matches!(
@@ -1325,7 +1451,7 @@ mod tests {
             let db = db.clone();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u64 {
-                    db.upsert(doc(&hexkey((i % 256) as u8, t * 1000 + i), i as i64))
+                    db.upsert(&hexkey((i % 256) as u8, t * 1000 + i), val(i as i64))
                         .unwrap();
                 }
             }));
@@ -1345,10 +1471,10 @@ mod tests {
         let dir = tmpdir("shared");
         let a = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        a.upsert(doc(&hexkey(0x42, 1), 1)).unwrap();
-        b.upsert(doc(&hexkey(0x42, 2), 2)).unwrap();
+        a.upsert(&hexkey(0x42, 1), val(1)).unwrap();
+        b.upsert(&hexkey(0x42, 2), val(2)).unwrap();
         a.save().unwrap();
-        // b's save rewrites 42.json, but first merges a's document back
+        // b's save rewrites 42.bin, but first merges a's document back
         // out of it.
         b.save().unwrap();
         assert_eq!(b.len(), 2, "b reconciled a's doc during its save");
@@ -1356,13 +1482,13 @@ mod tests {
         assert!(b.stats().lock_acquisitions >= 1);
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 2, "both processes' documents on disk");
-        assert!(back.get(&hexkey(0x42, 1)).is_some());
-        assert!(back.get(&hexkey(0x42, 2)).is_some());
+        assert!(back.get(&hexkey(0x42, 1), <[u8]>::to_vec).is_some());
+        assert!(back.get(&hexkey(0x42, 2), <[u8]>::to_vec).is_some());
 
         // a saves a disjoint shard: it must adopt b's manifest (which
-        // now owns 42.json) instead of clobbering it with its stale
+        // now owns 42.bin) instead of clobbering it with its stale
         // layout.
-        a.upsert(doc(&hexkey(0x10, 3), 3)).unwrap();
+        a.upsert(&hexkey(0x10, 3), val(3)).unwrap();
         a.save().unwrap();
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 3);
@@ -1372,7 +1498,7 @@ mod tests {
         assert_eq!(b.len(), 3, "compact reconciled the whole store");
         let back = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         assert_eq!(back.len(), 3);
-        assert!(back.get(&hexkey(0x10, 3)).is_some());
+        assert!(back.get(&hexkey(0x10, 3), <[u8]>::to_vec).is_some());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1380,9 +1506,9 @@ mod tests {
     fn stats_reflect_store_shape() {
         let dir = tmpdir("stats");
         let db = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "engine-tag").unwrap();
-        db.upsert(doc(&hexkey(0x01, 1), 1)).unwrap();
-        db.upsert(doc(&hexkey(0x01, 2), 2)).unwrap();
-        db.upsert(doc(&hexkey(0x02, 3), 3)).unwrap();
+        db.upsert(&hexkey(0x01, 1), val(1)).unwrap();
+        db.upsert(&hexkey(0x01, 2), val(2)).unwrap();
+        db.upsert(&hexkey(0x02, 3), val(3)).unwrap();
         let s = db.stats();
         assert_eq!(s.docs, 3);
         assert_eq!(s.occupied_shards, 2);
@@ -1404,10 +1530,12 @@ mod tests {
         let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
 
         // a saves; b sees the document at *read* time, no reopen.
-        a.upsert(doc(&hexkey(0x42, 1), 1)).unwrap();
+        a.upsert(&hexkey(0x42, 1), val(1)).unwrap();
         a.save().unwrap();
-        let found = b.get(&hexkey(0x42, 1)).expect("miss folds in peer save");
-        assert_eq!(found.body["n"], 1);
+        let found = b
+            .get(&hexkey(0x42, 1), <[u8]>::to_vec)
+            .expect("miss folds in peer save");
+        assert_eq!(found, val(1));
         assert_eq!(b.len(), 1);
         assert_eq!(b.stats().reconciled_docs, 1);
 
@@ -1415,8 +1543,8 @@ mod tests {
         assert_eq!(b.stats().dirty_shards, 0);
 
         // Misses on untouched shards stay misses and don't refold.
-        assert!(b.get(&hexkey(0x42, 99)).is_none());
-        assert!(b.get(&hexkey(0x07, 1)).is_none());
+        assert!(b.get(&hexkey(0x42, 99), <[u8]>::to_vec).is_none());
+        assert!(b.get(&hexkey(0x07, 1), <[u8]>::to_vec).is_none());
         assert_eq!(
             b.stats().reconciled_docs,
             1,
@@ -1432,23 +1560,29 @@ mod tests {
         let k2 = hexkey(0x11, 2);
         let k3 = hexkey(0x11, 3);
         let a = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
-        a.upsert(doc(&k1, 1)).unwrap();
-        a.upsert(doc(&k2, 1)).unwrap();
+        a.upsert(&k1, val(1)).unwrap();
+        a.upsert(&k2, val(1)).unwrap();
         a.save().unwrap();
 
         let b = ShardedDb::open(&dir, DEFAULT_DOC_LIMIT, "e").unwrap();
         b.remove(&k1).unwrap();
-        b.upsert(doc(&k2, 7)).unwrap();
+        b.upsert(&k2, val(7)).unwrap();
 
         // a rewrites the shard file (still carrying k1 and its stale
         // k2); a k3 miss on b folds that file back in.
-        a.upsert(doc(&k3, 1)).unwrap();
+        a.upsert(&k3, val(1)).unwrap();
         a.save().unwrap();
-        assert_eq!(b.get(&k3).expect("fresh peer doc folds in").body["n"], 1);
-        assert!(b.get(&k1).is_none(), "local tombstone wins over the fold");
         assert_eq!(
-            b.get(&k2).unwrap().body["n"],
-            7,
+            b.get(&k3, <[u8]>::to_vec).expect("fresh peer doc folds in"),
+            val(1)
+        );
+        assert!(
+            b.get(&k1, <[u8]>::to_vec).is_none(),
+            "local tombstone wins over the fold"
+        );
+        assert_eq!(
+            b.get(&k2, <[u8]>::to_vec).unwrap(),
+            val(7),
             "local mutation wins over the fold"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -1457,7 +1591,7 @@ mod tests {
     #[test]
     fn in_memory_stores_skip_the_reload_path() {
         let db = ShardedDb::in_memory();
-        assert!(db.get(&hexkey(0x01, 1)).is_none());
+        assert!(db.get(&hexkey(0x01, 1), <[u8]>::to_vec).is_none());
         assert_eq!(db.stats().reconciled_docs, 0);
     }
 }
