@@ -16,12 +16,9 @@
 //! that remembers the version of its last emission gets back only the
 //! slices that changed since ([`LiveAggregates::delta_since`]).
 //!
-//! For distributed runs, workers ship their lease's aggregates as a
-//! wire digest ([`LiveAggregates::digest`]); the coordinator folds
-//! them in with [`LiveAggregates::merge_digest`]. Sketch merging is
-//! bucket-count addition, so the merged view agrees with a
-//! single-process run on every exact moment and within sketch error
-//! on quantiles, no matter how the grid was leased.
+//! Distributed runs feed the same view the same way: the
+//! coordinator's merge emits every grid point exactly once through
+//! the observer, so a cluster run's view is the single-process view.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -33,9 +30,10 @@ use crate::aggregate::{axis_keys, AxisSlice};
 use crate::runner::PointResult;
 use crate::sketch::QuantileSketch;
 
-/// Version stamped on snapshot deltas and worker digests (`"v"` key).
-/// Consumers accept any version ≤ theirs and must ignore unknown
-/// keys; the version bumps only when an existing key changes meaning.
+/// Version stamped on snapshot deltas and `/aggregates` documents
+/// (`"v"` key). Consumers accept any version ≤ theirs and must ignore
+/// unknown keys; the version bumps only when an existing key changes
+/// meaning.
 pub const AGGREGATES_VERSION: u64 = 1;
 
 /// Metric names carried per slice, in render (alphabetical) order.
@@ -57,12 +55,6 @@ impl SliceNode {
         self.version = version;
     }
 
-    fn merge(&mut self, other: &SliceNode, version: u64) {
-        self.tx.merge(&other.tx);
-        self.error_pct.merge(&other.error_pct);
-        self.version = version;
-    }
-
     /// `{"error_pct": {...stats...}, "tx": {...}}`, optionally
     /// restricted to one metric.
     fn metrics_value(&self, metric: Option<&str>) -> Value {
@@ -73,21 +65,6 @@ impl SliceNode {
             }
         }
         Value::Object(map)
-    }
-
-    fn digest(&self) -> Value {
-        json!({
-            "error_pct": self.error_pct.digest(),
-            "tx": self.tx.digest(),
-        })
-    }
-
-    fn from_digest(v: &Value) -> Option<SliceNode> {
-        Some(SliceNode {
-            error_pct: QuantileSketch::from_digest(v.get("error_pct")?)?,
-            tx: QuantileSketch::from_digest(v.get("tx")?)?,
-            version: 0,
-        })
     }
 }
 
@@ -237,56 +214,6 @@ impl LiveAggregates {
             "slices": Value::Array(slices),
             "v": AGGREGATES_VERSION,
         })
-    }
-
-    /// Wire digest of the whole view, for worker → coordinator
-    /// shipment on lease completion.
-    pub fn digest(&self) -> Value {
-        let inner = self.inner.lock().expect("live aggregates lock");
-        let slices: Vec<Value> = inner
-            .slices
-            .iter()
-            .map(|((axis, value), node)| {
-                let mut map = serde_json::Map::new();
-                map.insert("axis".into(), json!(axis));
-                map.insert("value".into(), json!(value));
-                if let Value::Object(metrics) = node.digest() {
-                    map.extend(metrics);
-                }
-                Value::Object(map)
-            })
-            .collect();
-        json!({
-            "overall": inner.overall.digest(),
-            "slices": Value::Array(slices),
-            "v": AGGREGATES_VERSION,
-        })
-    }
-
-    /// Fold a worker digest in. Returns the number of slices merged,
-    /// or `None` — with this view untouched — on any shape mismatch
-    /// or an unsupported (newer) version.
-    pub fn merge_digest(&self, v: &Value) -> Option<usize> {
-        if v.get("v")?.as_u64()? > AGGREGATES_VERSION {
-            return None;
-        }
-        let overall = SliceNode::from_digest(v.get("overall")?)?;
-        let mut parsed: Vec<((String, String), SliceNode)> = Vec::new();
-        for slice in v.get("slices")?.as_array()? {
-            let axis = slice.get("axis")?.as_str()?.to_string();
-            let value = slice.get("value")?.as_str()?.to_string();
-            parsed.push(((axis, value), SliceNode::from_digest(slice)?));
-        }
-        // Everything parsed: now mutate, under one version bump.
-        let merged = parsed.len();
-        let mut inner = self.inner.lock().expect("live aggregates lock");
-        inner.version += 1;
-        let version = inner.version;
-        inner.overall.merge(&overall, version);
-        for (key, node) in parsed {
-            inner.slices.entry(key).or_default().merge(&node, version);
-        }
-        Some(merged)
     }
 
     /// The offline-report shape, computed from the sketches: exact
@@ -450,70 +377,6 @@ mod tests {
         // One point touches exactly one value per axis.
         assert_eq!(delta.len(), AXES.len());
         assert!(delta.len() < all.len(), "a delta, not a full snapshot");
-    }
-
-    #[test]
-    fn digest_merge_reproduces_direct_recording() {
-        let rs = results();
-        let (left, right) = rs.split_at(5);
-        let (a, b) = (live_of(left).digest(), live_of(right).digest());
-        let merged = LiveAggregates::new();
-        assert!(merged.merge_digest(&a).is_some());
-        assert!(merged.merge_digest(&b).is_some());
-        // Merge order must not matter (exactly — two-operand f64
-        // addition is commutative).
-        let flipped = LiveAggregates::new();
-        assert!(flipped.merge_digest(&b).is_some());
-        assert!(flipped.merge_digest(&a).is_some());
-        assert_eq!(
-            serde_json::to_string(&merged.render(None, None)).unwrap(),
-            serde_json::to_string(&flipped.render(None, None)).unwrap(),
-        );
-        // Against single-process recording: every bucket-derived and
-        // count/min/max answer is identical; means agree up to f64
-        // sum grouping across the split.
-        let whole = live_of(&rs);
-        let (ms, ws) = (merged.approx_slices(), whole.approx_slices());
-        assert_eq!(ms.len(), ws.len());
-        for (m, w) in ms.iter().zip(&ws) {
-            assert_eq!(
-                (m.axis.as_str(), m.value.as_str()),
-                (w.axis.as_str(), w.value.as_str())
-            );
-            assert_eq!(m.tx.n, w.tx.n);
-            assert_eq!((m.tx.min, m.tx.max), (w.tx.min, w.tx.max));
-            assert_eq!(
-                (m.tx.p50, m.tx.p95, m.tx.p99),
-                (w.tx.p50, w.tx.p95, w.tx.p99)
-            );
-            assert!((m.tx.mean - w.tx.mean).abs() <= 1e-9 * w.tx.mean.abs().max(1.0));
-        }
-        let (m_err, w_err) = (
-            merged.mean_abs_error_pct().unwrap(),
-            whole.mean_abs_error_pct().unwrap(),
-        );
-        assert!((m_err - w_err).abs() <= 1e-9 * w_err.abs().max(1.0));
-    }
-
-    #[test]
-    fn malformed_digest_leaves_the_view_untouched() {
-        let live = live_of(&results());
-        let before = serde_json::to_string(&live.render(None, None)).unwrap();
-        assert_eq!(live.merge_digest(&json!({"v": 1})), None);
-        assert_eq!(
-            live.merge_digest(&json!({"v": AGGREGATES_VERSION + 1, "slices": [], "overall": {}})),
-            None,
-            "newer digest versions are refused"
-        );
-        let mut truncated = live.digest();
-        if let Value::Object(obj) = &mut truncated {
-            obj.insert("slices".into(), json!([{"axis": "machine"}]));
-        }
-        assert_eq!(live.merge_digest(&truncated), None);
-        assert_eq!(
-            serde_json::to_string(&live.render(None, None)).unwrap(),
-            before
-        );
     }
 
     #[test]

@@ -1,11 +1,9 @@
-//! Mergeable fixed-bucket quantile sketch.
+//! Fixed-bucket quantile sketch.
 //!
 //! The live-aggregates plane ([`crate::live`]) needs per-slice
-//! quantiles that can be (a) updated in O(1) per point, (b) merged
-//! associatively across workers so a cluster run and a single-process
-//! run agree, and (c) shipped over the wire in a few hundred bytes.
-//! Exact order statistics need the whole series; this sketch trades a
-//! bounded *relative* error for all three properties.
+//! quantiles that can be updated in O(1) per point and read at any
+//! time mid-sweep. Exact order statistics need the whole series; this
+//! sketch trades a bounded *relative* error for that.
 //!
 //! The design is a sign-symmetric logarithmic histogram (the DDSketch
 //! family): value magnitudes are bucketed by `ceil(log_γ(|v| /
@@ -14,15 +12,13 @@
 //! keys ascend with value, so a rank walk over the sparse
 //! `BTreeMap<i64, u64>` yields nearest-rank quantiles whose relative
 //! error is at most [`RELATIVE_ERROR`] = (γ−1)/(γ+1) (< 1 %), plus
-//! [`MIN_MAG`] of absolute slack around zero. Merging is bucket-wise
-//! counter addition — exactly commutative, and associative up to f64
-//! summation order in the exact moments carried alongside
-//! (count/sum/min/max are tracked exactly; only quantiles are
-//! approximate).
+//! [`MIN_MAG`] of absolute slack around zero. Bucket counts do not
+//! depend on arrival order, so every quantile answer is the same
+//! however the observations were ordered; the exact moments carried
+//! alongside (count/sum/min/max) agree too, up to f64 summation order
+//! in `sum`.
 
 use std::collections::BTreeMap;
-
-use serde_json::{json, Value};
 
 /// Bucket growth factor: consecutive bucket boundaries differ by γ.
 pub const GAMMA: f64 = 1.02;
@@ -34,7 +30,7 @@ pub const RELATIVE_ERROR: f64 = (GAMMA - 1.0) / (GAMMA + 1.0);
 /// quantile answers also carry up to this much absolute slack.
 pub const MIN_MAG: f64 = 1e-9;
 
-/// A mergeable quantile sketch with exact first moments.
+/// A quantile sketch with exact first moments.
 ///
 /// `count`, `sum`, `abs_sum`, `min` and `max` are exact; quantiles are
 /// within [`RELATIVE_ERROR`] relative (plus [`MIN_MAG`] absolute)
@@ -114,20 +110,6 @@ impl QuantileSketch {
         self.max = self.max.max(v);
     }
 
-    /// Fold another sketch into this one. Bucket-wise addition:
-    /// exactly commutative, and independent of how observations were
-    /// split across the inputs.
-    pub fn merge(&mut self, other: &QuantileSketch) {
-        for (&k, &n) in &other.buckets {
-            *self.buckets.entry(k).or_insert(0) += n;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.abs_sum += other.abs_sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Observations recorded.
     pub fn count(&self) -> u64 {
         self.count
@@ -196,70 +178,6 @@ impl QuantileSketch {
             max: self.max,
         })
     }
-
-    /// Wire digest: a JSON object with the exact moments and the
-    /// sparse buckets as `[[key, count], ...]` pairs (ascending key).
-    /// The shape is versioned by the enclosing protocol, not here.
-    pub fn digest(&self) -> Value {
-        let pairs: Vec<Value> = self
-            .buckets
-            .iter()
-            .map(|(&k, &n)| Value::Array(vec![json!(k), json!(n)]))
-            .collect();
-        let (min, max) = if self.count > 0 {
-            (self.min, self.max)
-        } else {
-            (0.0, 0.0)
-        };
-        json!({
-            "count": self.count,
-            "sum": self.sum,
-            "abs_sum": self.abs_sum,
-            "min": min,
-            "max": max,
-            "buckets": Value::Array(pairs),
-        })
-    }
-
-    /// Parse a [`QuantileSketch::digest`] back. `None` on any shape
-    /// mismatch — callers treat a malformed digest as absent, never as
-    /// an error that could wedge a lease.
-    pub fn from_digest(v: &Value) -> Option<QuantileSketch> {
-        let count = v.get("count")?.as_u64()?;
-        if count == 0 {
-            return Some(QuantileSketch::new());
-        }
-        let mut buckets = BTreeMap::new();
-        let mut total = 0u64;
-        for pair in v.get("buckets")?.as_array()? {
-            let pair = pair.as_array()?;
-            if pair.len() != 2 {
-                return None;
-            }
-            let k = pair[0].as_i64()?;
-            let n = pair[1].as_u64()?;
-            if n == 0 || buckets.insert(k, n).is_some() {
-                return None;
-            }
-            total = total.checked_add(n)?;
-        }
-        if total != count {
-            return None;
-        }
-        let min = v.get("min")?.as_f64()?;
-        let max = v.get("max")?.as_f64()?;
-        if min > max {
-            return None;
-        }
-        Some(QuantileSketch {
-            buckets,
-            count,
-            sum: v.get("sum")?.as_f64()?,
-            abs_sum: v.get("abs_sum")?.as_f64()?,
-            min,
-            max,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -325,53 +243,5 @@ mod tests {
         assert!(within_bound(s.quantile(0.5).unwrap(), 0.0));
         assert_eq!(s.quantile(0.0), Some(-50.0));
         assert_eq!(s.quantile(1.0), Some(50.0));
-    }
-
-    #[test]
-    fn merge_is_commutative_and_split_merge_matches_the_whole() {
-        let all: Vec<f64> = (0..500).map(|i| (i as f64 * 0.37).sin() * 40.0).collect();
-        let (a, b) = (sketch_of(&all[..123]), sketch_of(&all[123..]));
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba, "merge is exactly commutative");
-        // Against the sequentially-built whole: every bucket-derived
-        // answer is identical; only the running `sum` may differ in
-        // f64 grouping, so the mean is compared with an ulp margin.
-        let whole = sketch_of(&all);
-        assert_eq!(ab.count(), whole.count());
-        assert_eq!(ab.min(), whole.min());
-        assert_eq!(ab.max(), whole.max());
-        for q in [0.1, 0.25, 0.5, 0.9, 0.95, 0.99] {
-            assert_eq!(ab.quantile(q), whole.quantile(q), "q={q}");
-        }
-        let (m, w) = (ab.mean().unwrap(), whole.mean().unwrap());
-        assert!((m - w).abs() <= 1e-12 * w.abs().max(1.0), "{m} vs {w}");
-    }
-
-    #[test]
-    fn digest_roundtrip() {
-        let s = sketch_of(&[1.5, -2.5, 0.0, 1e6, 1e-12]);
-        let back = QuantileSketch::from_digest(&s.digest()).unwrap();
-        assert_eq!(back, s);
-        let empty = QuantileSketch::from_digest(&QuantileSketch::new().digest()).unwrap();
-        assert_eq!(empty, QuantileSketch::new());
-    }
-
-    #[test]
-    fn malformed_digests_are_rejected() {
-        let s = sketch_of(&[1.0, 2.0]);
-        let mut d = s.digest();
-        if let Value::Object(obj) = &mut d {
-            obj.insert("count".into(), json!(99));
-        }
-        assert_eq!(
-            QuantileSketch::from_digest(&d),
-            None,
-            "bucket total must match count"
-        );
-        assert_eq!(QuantileSketch::from_digest(&json!({"x": 1})), None);
-        assert_eq!(QuantileSketch::from_digest(&json!(null)), None);
     }
 }

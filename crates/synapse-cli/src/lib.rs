@@ -164,8 +164,6 @@ pub enum Invocation {
         max_connections: usize,
         /// Handler-pool threads behind the epoll reactor (0 = default).
         reactor_threads: usize,
-        /// Points per lease-stream batch frame (1 = per-point events).
-        batch_points: usize,
     },
     /// Run a cluster coordinator: a serve process that fans
     /// `--cluster` submissions out over registered workers.
@@ -182,8 +180,6 @@ pub enum Invocation {
         max_connections: usize,
         /// Handler-pool threads behind the epoll reactor (0 = default).
         reactor_threads: usize,
-        /// Points per lease-stream batch frame (1 = per-point events).
-        batch_points: usize,
         /// Worker serve addresses registered at startup.
         worker_addrs: Vec<String>,
     },
@@ -290,7 +286,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
     let mut workers = 0usize;
     let mut max_connections = synapse_server::DEFAULT_MAX_CONNECTIONS;
     let mut reactor_threads = 0usize;
-    let mut batch_points = synapse_server::DEFAULT_BATCH_POINTS;
     let mut worker_addrs: Vec<String> = Vec::new();
     let mut i = 0;
     while i < args.len() {
@@ -324,11 +319,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
                     .parse()
                     .map_err(|e| format!("--reactor-threads: {e}"))?
             }
-            "--batch-points" => {
-                batch_points = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--batch-points: {e}"))?
-            }
             "--worker" if cluster => worker_addrs.push(value(&mut i)?),
             other => {
                 return Err(format!(
@@ -342,9 +332,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
     if queue_workers == 0 {
         return Err("--queue-workers must be at least 1".into());
     }
-    if batch_points == 0 {
-        return Err("--batch-points must be at least 1".into());
-    }
     Ok(if cluster {
         Invocation::ClusterStart {
             addr,
@@ -353,7 +340,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
             workers,
             max_connections,
             reactor_threads,
-            batch_points,
             worker_addrs,
         }
     } else {
@@ -364,7 +350,6 @@ fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, S
             workers,
             max_connections,
             reactor_threads,
-            batch_points,
         }
     })
 }
@@ -790,10 +775,9 @@ USAGE:
   synapse campaign cache stats|compact [--cache DIR]
   synapse serve    [--addr HOST:PORT] [--cache DIR] [--queue-workers N]
                    [--workers N] [--max-connections N] [--reactor-threads N]
-                   [--batch-points N]
   synapse cluster start [--addr HOST:PORT] [--cache DIR] [--worker ADDR]...
                    [--queue-workers N] [--workers N] [--max-connections N]
-                   [--reactor-threads N] [--batch-points N]
+                   [--reactor-threads N]
   synapse cluster add-worker <ADDR> [--server HOST:PORT]
   synapse cluster status [--server HOST:PORT]
   synapse campaign submit <spec.toml|json> [--server HOST:PORT] [--watch]
@@ -1022,7 +1006,6 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             workers,
             max_connections,
             reactor_threads,
-            batch_points,
         } => {
             let config = synapse_server::ServerConfig {
                 addr,
@@ -1031,7 +1014,6 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 job_workers: workers,
                 max_connections,
                 handler_threads: reactor_threads,
-                batch_points,
                 ..Default::default()
             };
             let server = synapse_server::Server::bind(config).map_err(|e| e.to_string())?;
@@ -1053,7 +1035,6 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             workers,
             max_connections,
             reactor_threads,
-            batch_points,
             worker_addrs,
         } => {
             let config = synapse_server::ServerConfig {
@@ -1063,7 +1044,6 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 job_workers: workers,
                 max_connections,
                 handler_threads: reactor_threads,
-                batch_points,
                 ..Default::default()
             };
             let coordinator = std::sync::Arc::new(synapse_cluster::Coordinator::new(
@@ -1929,7 +1909,6 @@ mod tests {
                 workers: 0,
                 max_connections: synapse_server::DEFAULT_MAX_CONNECTIONS,
                 reactor_threads: 0,
-                batch_points: synapse_server::DEFAULT_BATCH_POINTS,
             }
         );
         assert_eq!(
@@ -1947,8 +1926,6 @@ mod tests {
                 "64",
                 "--reactor-threads",
                 "8",
-                "--batch-points",
-                "16",
             ]))
             .unwrap(),
             Invocation::Serve {
@@ -1958,14 +1935,11 @@ mod tests {
                 workers: 2,
                 max_connections: 64,
                 reactor_threads: 8,
-                batch_points: 16,
             }
         );
         assert!(parse_args(&argv(&["serve", "--queue-workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--bogus"])).is_err());
         assert!(parse_args(&argv(&["serve", "--reactor-threads", "lots"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--batch-points", "0"])).is_err());
-        assert!(parse_args(&argv(&["serve", "--batch-points", "many"])).is_err());
 
         assert_eq!(
             parse_args(&argv(&["campaign", "submit", "s.toml", "--watch"])).unwrap(),
@@ -2107,7 +2081,6 @@ mod tests {
                 workers: 0,
                 max_connections: 128,
                 reactor_threads: 0,
-                batch_points: synapse_server::DEFAULT_BATCH_POINTS,
                 worker_addrs: vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()],
             }
         );

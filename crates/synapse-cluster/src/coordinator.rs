@@ -21,13 +21,12 @@
 //! sweeps the remaining leases through its own engine — a cluster
 //! degrades to a single process, never to a hung job.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use synapse_campaign::{
     expand_range, plan_leases, CampaignEngine, CampaignError, CampaignOutcome, CampaignReport,
-    CampaignSpec, CancelToken, Lease, LeaseTable, LiveAggregates, PointEvent, ResultCache,
-    RunConfig, RunStats,
+    CampaignSpec, CancelToken, Lease, LeaseTable, PointEvent, ResultCache, RunConfig, RunStats,
 };
 use synapse_server::{Client, ClusterBackend};
 use synapse_trace::TraceRecorder;
@@ -80,35 +79,6 @@ pub struct Coordinator {
     registry: WorkerRegistry,
 }
 
-/// Fold one completed lease's shipped aggregate digest into the
-/// campaign's live view — only if no earlier digest covered any index
-/// of the lease's range. Split tails overlap their parent lease and a
-/// replayed lease re-ships every point, so merging two digests whose
-/// ranges intersect would double-count; first complete digest per
-/// range wins, decided under the coverage lock so racing drivers
-/// cannot both claim an overlap. A malformed digest leaves the view
-/// untouched *and* the range unclaimed — the end-of-run catch-up
-/// records those points directly.
-fn merge_lease_digest(
-    live: &LiveAggregates,
-    coverage: &Mutex<Vec<bool>>,
-    lease: &Lease,
-    digest: Option<&serde_json::Value>,
-) {
-    let Some(digest) = digest else { return };
-    let mut covered = coverage.lock().unwrap_or_else(|e| e.into_inner());
-    let end = lease.end.min(covered.len());
-    // lint:allow(no-panic-hot-path, reason = "end is clamped to covered.len() and start >= end returns first")
-    if lease.start >= end || covered[lease.start..end].iter().any(|c| *c) {
-        return;
-    }
-    if live.merge_digest(digest).is_some() {
-        // lint:allow(no-panic-hot-path, reason = "same bounds as the guard above: start < end <= covered.len()")
-        covered[lease.start..end].iter_mut().for_each(|c| *c = true);
-        ClusterMetrics::get().sketch_merges.inc();
-    }
-}
-
 /// How one lease run on one worker ended.
 enum LeaseRun {
     /// Every point of the lease arrived (or the grid finished while
@@ -137,18 +107,14 @@ impl Coordinator {
     }
 
     /// Drive one lease on one worker, feeding points into the
-    /// collector as they stream in. A clean completion ships the
-    /// lease's aggregate digest, folded into `live` via
-    /// [`merge_lease_digest`].
-    #[allow(clippy::too_many_arguments)]
+    /// collector as they stream in. A `completed` summary counts only
+    /// if every point of the lease's range has landed.
     fn run_lease(
         &self,
         client: &Client,
         spec: &CampaignSpec,
         lease: &Lease,
         collector: &Collector,
-        live: &LiveAggregates,
-        coverage: &Mutex<Vec<bool>>,
         observer: &(dyn Fn(PointEvent) + Sync),
         cancel: &CancelToken,
     ) -> LeaseRun {
@@ -178,12 +144,6 @@ impl Coordinator {
                     // Split tails overlap their parent lease, so the
                     // grid can finish while this stream is mid-lease;
                     // hang up instead of waiting out the straggler.
-                    if collector.is_complete() {
-                        return false;
-                    }
-                }
-                Some(WorkerEvent::Point { result, cached }) => {
-                    collector.record(Arc::new(*result), cached, observer);
                     if collector.is_complete() {
                         return false;
                     }
@@ -226,8 +186,16 @@ impl Coordinator {
         match watched {
             // lint:allow(no-panic-hot-path, reason = "Value indexing is total; a missing key yields Null, never a panic")
             Ok(summary) if summary["event"].as_str() == Some("completed") => {
-                merge_lease_digest(live, coverage, lease, summary.get("aggregates"));
-                LeaseRun::Completed
+                // A worker that claims completion but left holes (it
+                // dropped points, or spoke a stream format this
+                // coordinator does not merge) must not retire the
+                // lease: re-run it elsewhere.
+                match collector.missing_in(lease.start, lease.end) {
+                    0 => LeaseRun::Completed,
+                    missing => LeaseRun::Failed(format!(
+                        "worker reported completed with {missing} points missing"
+                    )),
+                }
             }
             Ok(summary) => LeaseRun::Failed(format!(
                 "lease stream ended with {:?}",
@@ -297,8 +265,6 @@ impl Coordinator {
         spec: &CampaignSpec,
         table: &Mutex<LeaseTable>,
         collector: &Collector,
-        live: &LiveAggregates,
-        coverage: &Mutex<Vec<bool>>,
         fatal: &Mutex<Option<String>>,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
@@ -362,9 +328,7 @@ impl Coordinator {
                 recorder.record_lease(phase, worker_id, lease.start, lease.end);
             }
             let lease_started = Instant::now();
-            match self.run_lease(
-                &client, spec, &lease, collector, live, coverage, observer, cancel,
-            ) {
+            match self.run_lease(&client, spec, &lease, collector, observer, cancel) {
                 LeaseRun::Completed => {
                     table
                         .lock()
@@ -433,7 +397,6 @@ impl ClusterBackend for Coordinator {
         &self,
         spec: &CampaignSpec,
         cache: &ResultCache,
-        live: &LiveAggregates,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,
@@ -460,21 +423,16 @@ impl ClusterBackend for Coordinator {
             &weights,
         )));
         let collector = Collector::new(total);
-        // Which grid indices a merged worker digest already covers:
-        // the catch-up after fan-out records only the rest, so the
-        // live view counts every point exactly once.
-        let coverage: Mutex<Vec<bool>> = Mutex::new(vec![false; total]);
         let fatal: Mutex<Option<String>> = Mutex::new(None);
 
         if !workers.is_empty() {
             std::thread::scope(|scope| {
                 for (worker_id, addr) in &workers {
                     let (table, collector, fatal) = (&table, &collector, &fatal);
-                    let coverage = &coverage;
                     scope.spawn(move || {
                         self.drive_worker(
-                            worker_id, addr, spec, table, collector, live, coverage, fatal,
-                            observer, recorder, cancel,
+                            worker_id, addr, spec, table, collector, fatal, observer, recorder,
+                            cancel,
                         )
                     });
                 }
@@ -544,22 +502,6 @@ impl ClusterBackend for Coordinator {
         let sweep_secs = started.elapsed().as_secs_f64();
         let aggregate_started = Instant::now();
         let results = collector.into_results()?;
-        // Catch-up for the live view: indices no merged digest covers
-        // (local-fallback sweeps, leases finished by overlapping split
-        // tails, streams that broke before their terminal event) are
-        // recorded point by point from the merged results. Together
-        // with the coverage rule above, every grid point lands in the
-        // live aggregates exactly once — which is why a cluster run's
-        // `/aggregates` agrees with a single-process sweep within
-        // sketch error.
-        {
-            let covered = coverage.lock().unwrap_or_else(|e| e.into_inner());
-            for (result, covered) in results.iter().zip(covered.iter()) {
-                if !covered {
-                    live.record(result);
-                }
-            }
-        }
         let report = CampaignReport::assemble(spec, &results)?;
         let stats = RunStats {
             points: total,

@@ -136,11 +136,6 @@ impl Collector {
             .count()
     }
 
-    /// Points collected so far.
-    pub fn done(&self) -> usize {
-        self.inner.lock().expect("collector lock").done
-    }
-
     /// `(done, cache_hits, simulated)` counters.
     pub fn counts(&self) -> (usize, usize, usize) {
         let inner = self.inner.lock().expect("collector lock");
@@ -227,7 +222,7 @@ mod tests {
         let mut alien = rs[0].clone();
         alien.point.index = 99;
         assert!(!collector.record(Arc::new(alien), false, &observer));
-        assert_eq!(collector.done(), 1);
+        assert_eq!(collector.counts().0, 1);
     }
 
     #[test]

@@ -21,13 +21,9 @@ pub(crate) struct ClusterMetrics {
     /// Straggler tails speculatively re-offered as brand-new leases
     /// by an idle driver.
     pub leases_split: Arc<Counter>,
-    /// Worker-shipped aggregate sketch digests folded into the
-    /// campaign's live view (one per completed lease whose range no
-    /// earlier digest covered).
-    pub sketch_merges: Arc<Counter>,
     /// Points per merged `batch` frame — the transport-efficiency
-    /// signal (a warm cluster should sit near the configured
-    /// `--batch-points`; a cold one is spread by landing jitter).
+    /// signal (a warm cluster should sit near the frame cap of 64; a
+    /// cold one is spread by landing jitter).
     pub batch_points: Arc<Histogram>,
     /// Liveness-probe (`GET /healthz`) latency against workers.
     pub probe_seconds: Arc<Histogram>,
@@ -63,10 +59,6 @@ impl ClusterMetrics {
                 leases_split: r.counter(
                     "synapse_cluster_leases_split_total",
                     "Straggler lease tails re-offered as new speculative leases.",
-                ),
-                sketch_merges: r.counter(
-                    "synapse_cluster_sketch_merges_total",
-                    "Worker aggregate digests merged into live campaign views.",
                 ),
                 batch_points: r.histogram(
                     // Count-valued histogram (points per frame): the

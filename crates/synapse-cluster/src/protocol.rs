@@ -3,13 +3,11 @@
 //! Workers are plain `synapse serve` processes: a lease travels as the
 //! JSON [`LeaseRequest`] body of `POST
 //! /leases`, and results come back over the worker's ordinary NDJSON
-//! event stream. The lease-specific extensions: results arrive packed
-//! into versioned, length-prefixed `batch` frames (or, from a worker
-//! running with `--batch-points 1`, as legacy per-point `point`
-//! events), each point carrying the full serialized
-//! [`PointResult`] under `"result"`, so
-//! the coordinator can reassemble a byte-stable report without a
-//! second fetch. The full wire spec, including the byte-level frame
+//! event stream. The lease-specific extension: results arrive packed
+//! into versioned, length-prefixed `batch` frames, each point carrying
+//! the full serialized [`PointResult`] under `"result"`, so the
+//! coordinator can reassemble a byte-stable report without a second
+//! fetch. The full wire spec, including the byte-level frame
 //! layout and version-compatibility rules, lives in
 //! `docs/PROTOCOL.md`.
 
@@ -31,17 +29,6 @@ pub fn lease_request_json(spec: &CampaignSpec, lease: &Lease) -> String {
 /// the coordinator acts on.
 #[derive(Debug)]
 pub enum WorkerEvent {
-    /// The lease sweep started on the worker.
-    Started,
-    /// One point landed, with its full result (global grid index
-    /// inside) and whether the worker served it from cache.
-    Point {
-        /// The reconstructed per-point result (boxed: this variant
-        /// would otherwise dwarf the lifecycle ones).
-        result: Box<PointResult>,
-        /// Whether the worker's cache satisfied the point.
-        cached: bool,
-    },
     /// One `batch` frame of landed points (version-checked and
     /// length-validated; see `docs/PROTOCOL.md` for the layout). Each
     /// entry is the reconstructed result plus whether the worker's
@@ -56,11 +43,6 @@ pub enum WorkerEvent {
         /// What check the frame failed.
         reason: String,
     },
-    /// Every point of the lease landed.
-    Completed,
-    /// The lease stopped early (worker-side cancellation — e.g. the
-    /// worker is shutting down).
-    Cancelled,
     /// The worker's sweep errored.
     Failed {
         /// The worker's error message.
@@ -74,7 +56,9 @@ pub enum WorkerEvent {
         /// How many lines were dropped.
         dropped: u64,
     },
-    /// Snapshots, heartbeats — nothing to merge.
+    /// Lifecycle lines (`started`, `completed`, `cancelled`),
+    /// heartbeats, unknown events — nothing to merge. The lease's
+    /// outcome is read from the stream's terminal summary instead.
     Other,
 }
 
@@ -84,17 +68,7 @@ pub enum WorkerEvent {
 pub fn parse_event(line: &str) -> Option<WorkerEvent> {
     let value: Value = serde_json::from_str(line).ok()?;
     let event = match value["event"].as_str()? {
-        "started" => WorkerEvent::Started,
-        "point" => {
-            let result: PointResult = serde_json::from_value(value["result"].clone()).ok()?;
-            WorkerEvent::Point {
-                result: Box::new(result),
-                cached: value["cached"].as_bool().unwrap_or(false),
-            }
-        }
         "batch" => parse_batch(line, &value),
-        "completed" => WorkerEvent::Completed,
-        "cancelled" => WorkerEvent::Cancelled,
         "failed" => WorkerEvent::Failed {
             error: value["error"]
                 .as_str()
@@ -213,30 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn point_events_reconstruct_results_exactly() {
-        let s = spec();
-        let point = &expand(&s)[2];
-        let result = synapse_campaign::simulate_point(point).unwrap();
-        let line = serde_json::to_string(&serde_json::json!({
-            "event": "point",
-            "index": point.index,
-            "cached": true,
-            "result": serde_json::to_value(&result).unwrap(),
-        }))
-        .unwrap();
-        match parse_event(&line) {
-            Some(WorkerEvent::Point {
-                result: back,
-                cached,
-            }) => {
-                assert!(cached);
-                assert_eq!(*back, result, "exact roundtrip, floats included");
-            }
-            other => panic!("wrong parse: {other:?}"),
-        }
-    }
-
-    #[test]
     fn batch_frames_roundtrip_exactly() {
         use std::sync::Arc;
         let s = spec();
@@ -326,32 +276,29 @@ mod tests {
 
     #[test]
     fn lifecycle_and_noise_lines_classify() {
-        assert!(matches!(
-            parse_event("{\"event\":\"started\",\"total\":4}"),
-            Some(WorkerEvent::Started)
-        ));
-        assert!(matches!(
-            parse_event("{\"event\":\"completed\"}"),
-            Some(WorkerEvent::Completed)
-        ));
-        assert!(matches!(
-            parse_event("{\"event\":\"cancelled\",\"done\":1}"),
-            Some(WorkerEvent::Cancelled)
-        ));
+        // Lifecycle lines carry nothing to merge; the lease outcome
+        // comes from the stream's terminal summary.
+        for line in [
+            "{\"event\":\"started\",\"total\":4}",
+            "{\"event\":\"completed\"}",
+            "{\"event\":\"cancelled\",\"done\":1}",
+            "{\"event\":\"snapshot\",\"done\":32}",
+            // Older workers' per-point lines merge nothing either.
+            "{\"event\":\"point\",\"index\":0,\"result\":{}}",
+        ] {
+            assert!(
+                matches!(parse_event(line), Some(WorkerEvent::Other)),
+                "{line}"
+            );
+        }
         match parse_event("{\"event\":\"failed\",\"error\":\"boom\"}") {
             Some(WorkerEvent::Failed { error }) => assert_eq!(error, "boom"),
             other => panic!("wrong parse: {other:?}"),
         }
         assert!(matches!(
-            parse_event("{\"event\":\"snapshot\",\"done\":32}"),
-            Some(WorkerEvent::Other)
-        ));
-        assert!(matches!(
             parse_event("{\"event\":\"truncated\",\"dropped\":5}"),
             Some(WorkerEvent::Truncated { dropped: 5 })
         ));
         assert!(parse_event("not json").is_none());
-        // A point event with a mangled result payload is unusable.
-        assert!(parse_event("{\"event\":\"point\",\"result\":{\"nope\":1}}").is_none());
     }
 }

@@ -91,8 +91,7 @@ pub use server::{
 };
 
 use synapse_campaign::{
-    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, LiveAggregates, PointEvent,
-    ResultCache,
+    CampaignError, CampaignOutcome, CampaignSpec, CancelToken, PointEvent, ResultCache,
 };
 use synapse_trace::TraceRecorder;
 
@@ -115,16 +114,13 @@ pub trait ClusterBackend: Send + Sync {
     /// flight `recorder` is attached the backend annotates it with the
     /// lease lifecycle (assigned/completed/failed/reassigned/split/
     /// local) and propagates its causality id to workers as the
-    /// `X-Synapse-Trace` request header.
-    /// `live` is the campaign's shared aggregate view: the backend
-    /// folds worker-shipped sketch digests into it as leases complete
-    /// (and records locally-executed points directly), so mid-sweep
-    /// `GET /campaigns/<id>/aggregates` works for distributed runs too.
+    /// `X-Synapse-Trace` request header. The server folds each merged
+    /// `PointDone` into the campaign's live aggregates, exactly as for
+    /// a local sweep, so the backend must emit every grid index once.
     fn run_distributed(
         &self,
         spec: &CampaignSpec,
         cache: &ResultCache,
-        live: &LiveAggregates,
         observer: &(dyn Fn(PointEvent) + Sync),
         recorder: Option<&TraceRecorder>,
         cancel: &CancelToken,

@@ -115,12 +115,11 @@ pub const DEFAULT_STREAM_HIGH_WATER: usize = 256 * 1024;
 /// dead and reclaimed.
 pub const DEFAULT_WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(30);
 
-/// Default for [`ServerConfig::batch_points`]: how many landed points
-/// a lease stream packs into one `batch` frame before writing. 64
-/// turns a warm 55k-point grid from 55k line writes into ~900 while
-/// keeping first-result latency in the low milliseconds on a cold
-/// sweep (the tail flushes whatever is pending at lease end). The
-/// frame layout is specified in `docs/PROTOCOL.md`.
+/// How many landed points a lease stream packs into one `batch` frame
+/// before writing. 64 turns a warm 55k-point grid from 55k line writes
+/// into ~900 while keeping first-result latency in the low
+/// milliseconds on a cold sweep (the tail flushes whatever is pending
+/// at lease end). The frame layout is specified in `docs/PROTOCOL.md`.
 pub const DEFAULT_BATCH_POINTS: usize = 64;
 
 /// Version stamped into every `batch` frame (`"v"`). Consumers must
@@ -165,10 +164,6 @@ pub struct ServerConfig {
     /// Reclaim a connection whose unsent output made no progress for
     /// this long (the peer stopped reading and never came back).
     pub write_stall_timeout: Duration,
-    /// Points per `batch` frame on lease streams (`--batch-points`);
-    /// `0` or `1` disables batching and emits the legacy per-point
-    /// `point` events.
-    pub batch_points: usize,
 }
 
 impl Default for ServerConfig {
@@ -184,7 +179,6 @@ impl Default for ServerConfig {
             request_timeout: DEFAULT_REQUEST_TIMEOUT,
             stream_high_water: DEFAULT_STREAM_HIGH_WATER,
             write_stall_timeout: DEFAULT_WRITE_STALL_TIMEOUT,
-            batch_points: DEFAULT_BATCH_POINTS,
         }
     }
 }
@@ -200,7 +194,6 @@ pub(crate) struct ServerState {
     shutdown: AtomicBool,
     job_workers: usize,
     event_buffer: usize,
-    batch_points: usize,
     max_connections: usize,
     active_connections: AtomicUsize,
     /// The reactor's wakeup handle, set once `run()` starts; jobs
@@ -544,7 +537,6 @@ impl Server {
             shutdown: AtomicBool::new(false),
             job_workers: config.job_workers,
             event_buffer: config.event_buffer,
-            batch_points: config.batch_points,
             max_connections: config.max_connections,
             active_connections: AtomicUsize::new(0),
             reactor_waker: OnceLock::new(),
@@ -817,12 +809,11 @@ fn point_observer(job: &Arc<Job>) -> impl Fn(PointEvent) + Sync + '_ {
                     p.done = done;
                     p.cache_hits += usize::from(cached);
                 });
-                // Distributed runs fold worker-shipped digests into the
-                // live view at lease completion; recording the merged
-                // point stream here too would double-count every point.
-                if !matches!(job.kind, JobKind::Distributed) {
-                    job.live().record(&result);
-                }
+                // Every path funnels here exactly once per grid index:
+                // the local engine, and on distributed runs the
+                // coordinator's merge (batch frames, split tails,
+                // replays and the local fallback alike).
+                job.live().record(&result);
                 job.push_event(point_event_line(&result, cached, done, total));
                 // The final point's delta travels with the terminal
                 // snapshot instead (publish_outcome), so a watcher
@@ -890,8 +881,8 @@ fn publish_outcome(
     // The guaranteed terminal snapshot: whatever the cadence held
     // back since the last delta lands before the terminal event, so
     // an aggregate-mode watcher always ends holding the complete
-    // view. Leases skip it — their stream is the coordinator merge
-    // protocol, and the digest rides the `completed` event instead.
+    // view. Leases skip it — they keep no live view; the coordinator
+    // aggregates the points it merges.
     if !matches!(job.kind, JobKind::Lease { .. }) {
         emit_snapshot_delta(job, true);
     }
@@ -974,23 +965,17 @@ fn run_distributed_job(state: &ServerState, job: &Arc<Job>) {
     };
     let observer = point_observer(job);
     let recorder = job.recorder().map(|r| &**r);
-    let outcome = backend.run_distributed(
-        &job.spec,
-        &state.cache,
-        job.live(),
-        &observer,
-        recorder,
-        &job.cancel,
-    );
+    let outcome =
+        backend.run_distributed(&job.spec, &state.cache, &observer, recorder, &job.cancel);
     publish_outcome(job, outcome);
 }
 
 /// Sweep one lease (a contiguous slice of the grid) on behalf of a
-/// coordinator: landed points travel back as `batch` frames (or
-/// legacy per-point `point` events when `batch_points <= 1`), each
-/// carrying full serialized results, and the terminal event reports
-/// lease-relative counters. No report is assembled — merging is the
-/// coordinator's job.
+/// coordinator: landed points travel back as `batch` frames of up to
+/// [`DEFAULT_BATCH_POINTS`] full serialized results, and the terminal
+/// event reports lease-relative counters. No report is assembled and
+/// no live view kept — merging and aggregating are the coordinator's
+/// job.
 fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) {
     // Materialize only the leased slice (points keep their global
     // indices) — a worker serving 8 leases of a huge grid must not
@@ -1000,7 +985,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
     let config = RunConfig {
         workers: job.workers,
     };
-    let batch_cap = state.batch_points;
     // The engine observer is called from every sweep thread, so the
     // pending batch lives behind a mutex; frames are built and pushed
     // under it, keeping frame order = landing order.
@@ -1015,7 +999,7 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
         doc
     };
     let pending: Mutex<Vec<(Arc<synapse_campaign::PointResult>, bool)>> =
-        Mutex::new(Vec::with_capacity(batch_cap.min(4096)));
+        Mutex::new(Vec::with_capacity(DEFAULT_BATCH_POINTS));
     let flush = |buf: &mut Vec<(Arc<synapse_campaign::PointResult>, bool)>| {
         if !buf.is_empty() {
             job.push_event(lease_batch_line(buf, trace));
@@ -1036,34 +1020,16 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
             result,
             cached,
             done,
-            total,
+            ..
         } => {
             job.with_progress(|p| {
                 p.done = done;
                 p.cache_hits += usize::from(cached);
             });
-            // The lease keeps its own live view so its terminal event
-            // can ship a mergeable digest back to the coordinator.
-            job.live().record(&result);
-            if batch_cap > 1 {
-                let mut buf = pending.lock().unwrap_or_else(|e| e.into_inner());
-                buf.push((result, cached));
-                if buf.len() >= batch_cap {
-                    flush(&mut buf);
-                }
-            } else {
-                job.push_event(ndjson(&with_trace(json!({
-                    "event": "point",
-                    "index": result.point.index,
-                    "cached": cached,
-                    "done": done,
-                    "total": total,
-                    // The coordinator reconstructs PointResult from
-                    // this field; f64s round-trip exactly through the
-                    // JSON layer, so merged reports stay byte-stable.
-                    // lint:allow(no-panic-hot-path, reason = "serializing owned in-memory data; Value/string serialization is infallible")
-                    "result": serde_json::to_value(&*result).expect("result serializes"),
-                }))));
+            let mut buf = pending.lock().unwrap_or_else(|e| e.into_inner());
+            buf.push((result, cached));
+            if buf.len() >= DEFAULT_BATCH_POINTS {
+                flush(&mut buf);
             }
         }
         PointEvent::Finished { .. } | PointEvent::Cancelled { .. } => {}
@@ -1096,12 +1062,6 @@ fn run_lease_job(state: &ServerState, job: &Arc<Job>, start: usize, end: usize) 
                 "cache_hit_rate": stats.hit_rate(),
                 "wall_secs": stats.wall_secs,
                 "timings": stats.timings_json(),
-                // The lease's aggregates as a mergeable digest: the
-                // coordinator folds it into the campaign's live view,
-                // so cluster-wide aggregates agree with a
-                // single-process sweep within sketch error. Old
-                // coordinators ignore the extra key.
-                "aggregates": job.live().digest(),
             }))));
         }
         Err(e) => publish_outcome(job, Err(e)),
