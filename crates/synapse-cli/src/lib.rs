@@ -5,34 +5,8 @@
 //!
 //! The paper ships "a set of command line tools which are wrappers
 //! around certain configurations and combinations of the profile and
-//! emulate methods" (§4). This crate provides the same:
-//!
-//! ```text
-//! synapse profile  "<command>" [--tags k=v,...] [--rate HZ] [--store DIR]
-//! synapse emulate  "<command>" [--tags k=v,...] [--kernel asm|c|spin]
-//!                  [--threads N] [--write-block BYTES] [--store DIR]
-//! synapse stats    "<command>" [--tags k=v,...] [--store DIR]
-//! synapse inspect  "<command>" [--tags k=v,...] [--store DIR]
-//! synapse campaign run  <spec.toml|json> [--cache DIR] [--workers N]
-//!                  [--json PATH] [--csv PATH] [--summary-json PATH] [--timings]
-//!                  [--record PATH]
-//! synapse campaign plan <spec.toml|json>
-//! synapse campaign replay <trace.jsonl> [--strict|--lenient] [--report PATH]
-//! synapse campaign trace-summary <trace.jsonl>
-//! synapse campaign cache stats|compact [--cache DIR]
-//! synapse serve    [--addr HOST:PORT] [--cache DIR] [--queue-workers N] [--workers N]
-//!                  [--max-connections N] [--reactor-threads N]
-//! synapse cluster start [--addr HOST:PORT] [--cache DIR] [--worker ADDR]...
-//! synapse cluster add-worker <ADDR> [--server HOST:PORT]
-//! synapse cluster status [--server HOST:PORT]
-//! synapse campaign submit <spec.toml|json> [--server HOST:PORT] [--watch] [--cluster]
-//!                  [--record]
-//! synapse campaign watch  <job-id> [--server HOST:PORT]
-//! synapse campaign status [job-id] [--server HOST:PORT]
-//! synapse campaign cancel <job-id> [--server HOST:PORT]
-//! synapse table1
-//! synapse machines
-//! ```
+//! emulate methods" (§4). This crate provides the same; [`USAGE`] is
+//! the command reference.
 //!
 //! The `campaign` subcommand is the scenario-sweep frontend: a
 //! declarative spec expands into the cartesian product of its axes and
@@ -41,11 +15,17 @@
 //! ([`synapse_server`]); the `submit`/`watch`/`status`/`cancel`
 //! actions are its HTTP client.
 
+use std::error::Error;
+use std::fmt::Display;
+use std::io::Write;
 use std::path::PathBuf;
+use std::str::FromStr;
 
+use serde_json::Value;
 use synapse::config::ProfilerConfig;
 use synapse::emulator::{EmulationPlan, KernelChoice};
 use synapse_model::{metrics, Tags};
+use synapse_server::{Client, ServerError};
 use synapse_store::{FileStore, ProfileStore};
 
 /// Parsed command-line invocation.
@@ -151,35 +131,12 @@ pub enum Invocation {
         trace: PathBuf,
     },
     /// Run the long-lived campaign server (`synapse serve`).
-    Serve {
-        /// Bind address (`host:port`).
-        addr: String,
-        /// Result-cache directory shared by every job.
-        cache: PathBuf,
-        /// Concurrent jobs (queue workers).
-        queue_workers: usize,
-        /// Worker threads per job's sweep (0 = auto).
-        workers: usize,
-        /// Concurrent-connection cap (0 = unlimited).
-        max_connections: usize,
-        /// Handler-pool threads behind the epoll reactor (0 = default).
-        reactor_threads: usize,
-    },
+    Serve(ServeOptions),
     /// Run a cluster coordinator: a serve process that fans
     /// `--cluster` submissions out over registered workers.
     ClusterStart {
-        /// Bind address (`host:port`).
-        addr: String,
-        /// Result-cache directory (also used by locally-run leases).
-        cache: PathBuf,
-        /// Concurrent jobs (queue workers).
-        queue_workers: usize,
-        /// Worker threads per locally-run lease sweep (0 = auto).
-        workers: usize,
-        /// Concurrent-connection cap (0 = unlimited).
-        max_connections: usize,
-        /// Handler-pool threads behind the epoll reactor (0 = default).
-        reactor_threads: usize,
+        /// The coordinator's own serve options.
+        serve: ServeOptions,
         /// Worker serve addresses registered at startup.
         worker_addrs: Vec<String>,
     },
@@ -264,6 +221,23 @@ pub enum Invocation {
     Help,
 }
 
+/// The options `serve` and `cluster start` share.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ServeOptions {
+    /// Bind address (`host:port`).
+    pub addr: String,
+    /// Result-cache directory shared by every job.
+    pub cache: PathBuf,
+    /// Concurrent jobs (queue workers).
+    pub queue_workers: usize,
+    /// Worker threads per job's sweep (0 = auto).
+    pub workers: usize,
+    /// Concurrent-connection cap (0 = unlimited).
+    pub max_connections: usize,
+    /// Handler-pool threads behind the epoll reactor (0 = default).
+    pub reactor_threads: usize,
+}
+
 /// Default profile store location.
 pub fn default_store() -> PathBuf {
     std::env::temp_dir().join("synapse-profiles")
@@ -277,366 +251,315 @@ pub fn default_campaign_cache() -> PathBuf {
 /// Default `synapse serve` address client subcommands talk to.
 pub const DEFAULT_SERVER_ADDR: &str = "127.0.0.1:8787";
 
-/// Parse the shared `serve`/`cluster start` flag set; `cluster`
-/// additionally accepts repeatable `--worker ADDR` registrations.
-fn parse_serve_like_args(args: &[String], cluster: bool) -> Result<Invocation, String> {
-    let mut addr = DEFAULT_SERVER_ADDR.to_string();
-    let mut cache = default_campaign_cache();
-    let mut queue_workers = 2usize;
-    let mut workers = 0usize;
-    let mut max_connections = synapse_server::DEFAULT_MAX_CONNECTIONS;
-    let mut reactor_threads = 0usize;
-    let mut worker_addrs: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {arg}"))
-        };
-        match arg.as_str() {
-            "--addr" => addr = value(&mut i)?,
-            "--cache" => cache = PathBuf::from(value(&mut i)?),
-            "--queue-workers" => {
-                queue_workers = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--queue-workers: {e}"))?
-            }
-            "--workers" => {
-                workers = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--max-connections" => {
-                max_connections = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--max-connections: {e}"))?
-            }
-            "--reactor-threads" => {
-                reactor_threads = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--reactor-threads: {e}"))?
-            }
-            "--worker" if cluster => worker_addrs.push(value(&mut i)?),
-            other => {
-                return Err(format!(
-                    "unknown {} argument {other:?}",
-                    if cluster { "cluster start" } else { "serve" }
-                ))
-            }
-        }
-        i += 1;
-    }
-    if queue_workers == 0 {
-        return Err("--queue-workers must be at least 1".into());
-    }
-    Ok(if cluster {
-        Invocation::ClusterStart {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-            worker_addrs,
-        }
-    } else {
-        Invocation::Serve {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-        }
-    })
+/// One subcommand's arguments, scanned against its flag table.
+struct Scan {
+    /// Subcommand name, for error messages (`campaign run`).
+    name: String,
+    /// What the positional argument is, for error messages.
+    noun: &'static str,
+    /// Flags in argv order, with their values (`None` for switches).
+    flags: Vec<(&'static str, Option<String>)>,
+    /// The one positional argument, if given.
+    positional: Option<String>,
 }
+
+/// Scan `args` against one subcommand's flag table: `values` take the
+/// next argument, `switches` stand alone, and `noun` names the single
+/// positional argument (`None`: the subcommand takes none). Every
+/// subcommand parses through here, so a flag another subcommand owns
+/// is rejected like a misspelt one.
+fn scan(
+    name: &str,
+    args: &[String],
+    values: &[&'static str],
+    switches: &[&'static str],
+    noun: Option<&'static str>,
+) -> Result<Scan, String> {
+    let mut scan = Scan {
+        name: name.to_string(),
+        noun: noun.unwrap_or_default(),
+        flags: Vec::new(),
+        positional: None,
+    };
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if let Some(&flag) = values.iter().find(|&&f| f == arg) {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("missing value after {arg}"))?;
+            scan.flags.push((flag, Some(value.clone())));
+        } else if let Some(&flag) = switches.iter().find(|&&f| f == arg) {
+            scan.flags.push((flag, None));
+        } else if arg.starts_with("--") {
+            return Err(format!("unknown {name} flag {arg}"));
+        } else if noun.is_none() {
+            return Err(format!("{name} takes no positional argument ({arg:?})"));
+        } else if scan.positional.is_some() {
+            return Err(format!(
+                "unexpected positional argument {arg:?} ({name} takes one {})",
+                scan.noun
+            ));
+        } else {
+            scan.positional = Some(arg.clone());
+        }
+    }
+    Ok(scan)
+}
+
+impl Scan {
+    /// Every value given for `flag`, in argv order.
+    fn values(&self, flag: &str) -> Vec<String> {
+        let given = self.flags.iter().filter(|(f, _)| *f == flag);
+        given.filter_map(|(_, value)| value.clone()).collect()
+    }
+
+    /// The last value given for `flag`.
+    fn value(&self, flag: &str) -> Option<String> {
+        self.values(flag).pop()
+    }
+
+    /// Whether the switch `flag` was given.
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    /// The last value given for `flag`, as a path.
+    fn path(&self, flag: &str) -> Option<PathBuf> {
+        self.value(flag).map(PathBuf::from)
+    }
+
+    /// `flag`'s last value as a number (`default` when absent); every
+    /// value given must parse.
+    fn num<T: FromStr>(&self, flag: &str, default: T) -> Result<T, String>
+    where
+        T::Err: Display,
+    {
+        let mut n = default;
+        for value in self.values(flag) {
+            n = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+        }
+        Ok(n)
+    }
+
+    /// The positional argument, which this subcommand requires.
+    fn required(&self) -> Result<String, String> {
+        let missing = || format!("{} requires a {}", self.name, self.noun);
+        self.positional.clone().ok_or_else(missing)
+    }
+
+    fn tags(&self) -> Tags {
+        self.value("--tags")
+            .map_or_else(Tags::new, |tags| Tags::parse(&tags))
+    }
+
+    fn store(&self) -> PathBuf {
+        self.path("--store").unwrap_or_else(default_store)
+    }
+
+    fn cache(&self) -> PathBuf {
+        self.path("--cache").unwrap_or_else(default_campaign_cache)
+    }
+
+    fn server(&self) -> String {
+        let server = self.value("--server");
+        server.unwrap_or_else(|| DEFAULT_SERVER_ADDR.to_string())
+    }
+
+    fn serve_options(&self) -> Result<ServeOptions, String> {
+        let options = ServeOptions {
+            addr: self
+                .value("--addr")
+                .unwrap_or_else(|| DEFAULT_SERVER_ADDR.to_string()),
+            cache: self.cache(),
+            queue_workers: self.num("--queue-workers", 2)?,
+            workers: self.num("--workers", 0)?,
+            max_connections: self
+                .num("--max-connections", synapse_server::DEFAULT_MAX_CONNECTIONS)?,
+            reactor_threads: self.num("--reactor-threads", 0)?,
+        };
+        if options.queue_workers == 0 {
+            return Err("--queue-workers must be at least 1".into());
+        }
+        Ok(options)
+    }
+}
+
+/// The value flags `serve` takes; `cluster start` adds `--worker`.
+const SERVE_FLAGS: [&str; 6] = [
+    "--addr",
+    "--cache",
+    "--queue-workers",
+    "--workers",
+    "--max-connections",
+    "--reactor-threads",
+];
+
+const COMMAND: Option<&str> = Some("quoted command");
+const SPEC: Option<&str> = Some("spec file");
+const TRACE: Option<&str> = Some("trace file");
+const JOB: Option<&str> = Some("job id");
+
+const CAMPAIGN_ACTIONS: &str =
+    "run | plan | replay | trace-summary | submit | watch | status | cancel | aggregates | cache";
 
 /// Parse the `cluster <action>` argument forms.
 fn parse_cluster_args(args: &[String]) -> Result<Invocation, String> {
     let action = args
         .first()
         .ok_or("cluster requires an action (start | add-worker | status)")?;
-    let rest = &args[1..];
-    match action.as_str() {
-        "start" => parse_serve_like_args(rest, true),
-        "add-worker" | "status" => {
-            let mut server = DEFAULT_SERVER_ADDR.to_string();
-            let mut positional = None;
-            let mut i = 0;
-            while i < rest.len() {
-                let arg = &rest[i];
-                match arg.as_str() {
-                    "--server" => {
-                        i += 1;
-                        server = rest
-                            .get(i)
-                            .cloned()
-                            .ok_or_else(|| format!("missing value after {arg}"))?;
-                    }
-                    other if other.starts_with("--") => {
-                        return Err(format!("unknown cluster {action} flag {other}"))
-                    }
-                    other => {
-                        if positional.is_some() {
-                            return Err(format!("unexpected positional argument {other:?}"));
-                        }
-                        positional = Some(other.to_string());
-                    }
-                }
-                i += 1;
-            }
-            match action.as_str() {
-                "add-worker" => Ok(Invocation::ClusterAddWorker {
-                    worker: positional.ok_or("cluster add-worker requires a worker address")?,
-                    server,
-                }),
-                _ => {
-                    if positional.is_some() {
-                        return Err("cluster status takes no positional argument".into());
-                    }
-                    Ok(Invocation::ClusterStatus { server })
-                }
+    let (name, rest) = (format!("cluster {action}"), &args[1..]);
+    Ok(match action.as_str() {
+        "start" => {
+            let values = [SERVE_FLAGS.as_slice(), &["--worker"]].concat();
+            let s = scan(&name, rest, &values, &[], None)?;
+            Invocation::ClusterStart {
+                serve: s.serve_options()?,
+                worker_addrs: s.values("--worker"),
             }
         }
-        other => Err(format!(
-            "unknown cluster action {other} (start | add-worker | status)"
-        )),
-    }
-}
-
-/// Parse the `campaign submit|watch|status|cancel|aggregates` client
-/// forms.
-fn parse_campaign_client_args(action: &str, args: &[String]) -> Result<Invocation, String> {
-    let mut server = DEFAULT_SERVER_ADDR.to_string();
-    let mut watch = false;
-    let mut cluster = false;
-    let mut record = false;
-    let mut aggregates = false;
-    let mut axis = None;
-    let mut metric = None;
-    let mut json = false;
-    let mut positional = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        match arg.as_str() {
-            "--server" => {
-                i += 1;
-                server = args
-                    .get(i)
-                    .cloned()
-                    .ok_or_else(|| format!("missing value after {arg}"))?;
-            }
-            "--watch" if action == "submit" => watch = true,
-            "--cluster" if action == "submit" => cluster = true,
-            "--record" if action == "submit" => record = true,
-            "--aggregates" if action == "watch" => aggregates = true,
-            "--axis" if action == "aggregates" => {
-                i += 1;
-                axis = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| format!("missing value after {arg}"))?,
-                );
-            }
-            "--metric" if action == "aggregates" => {
-                i += 1;
-                metric = Some(
-                    args.get(i)
-                        .cloned()
-                        .ok_or_else(|| format!("missing value after {arg}"))?,
-                );
-            }
-            "--json" if action == "aggregates" => json = true,
-            other if other.starts_with("--") => {
-                return Err(format!("unknown campaign {action} flag {other}"))
-            }
-            other => {
-                if positional.is_some() {
-                    return Err(format!("unexpected positional argument {other:?}"));
-                }
-                positional = Some(other.to_string());
+        "add-worker" => {
+            let s = scan(&name, rest, &["--server"], &[], Some("worker address"))?;
+            Invocation::ClusterAddWorker {
+                worker: s.required()?,
+                server: s.server(),
             }
         }
-        i += 1;
-    }
-    match action {
-        "submit" => Ok(Invocation::CampaignSubmit {
-            spec: PathBuf::from(positional.ok_or("campaign submit requires a spec file")?),
-            server,
-            watch,
-            cluster,
-            record,
-        }),
-        "watch" => Ok(Invocation::CampaignWatch {
-            id: positional.ok_or("campaign watch requires a job id")?,
-            server,
-            aggregates,
-        }),
-        "aggregates" => Ok(Invocation::CampaignAggregates {
-            id: positional.ok_or("campaign aggregates requires a job id")?,
-            server,
-            axis,
-            metric,
-            json,
-        }),
-        "status" => Ok(Invocation::CampaignStatus {
-            id: positional,
-            server,
-        }),
-        "cancel" => Ok(Invocation::CampaignCancel {
-            id: positional.ok_or("campaign cancel requires a job id")?,
-            server,
-        }),
-        other => Err(format!("unknown campaign client action {other}")),
-    }
+        "status" => Invocation::ClusterStatus {
+            server: scan(&name, rest, &["--server"], &[], None)?.server(),
+        },
+        other => {
+            return Err(format!(
+                "unknown cluster action {other} (start | add-worker | status)"
+            ))
+        }
+    })
 }
 
-/// Parse the `campaign <action> <spec>` argument form.
+/// Parse the `campaign <action>` argument forms.
 fn parse_campaign_args(args: &[String]) -> Result<Invocation, String> {
-    let action = args.first().ok_or(
-        "campaign requires an action (run | plan | replay | trace-summary | submit | watch | status | cancel | aggregates | cache)",
-    )?;
-    if action == "cache" {
-        return parse_campaign_cache_args(&args[1..]);
-    }
-    if ["replay", "trace-summary"].contains(&action.as_str()) {
-        return parse_campaign_trace_args(action, &args[1..]);
-    }
-    if ["submit", "watch", "status", "cancel", "aggregates"].contains(&action.as_str()) {
-        return parse_campaign_client_args(action, &args[1..]);
-    }
-    let mut spec = None;
-    let mut cache = default_campaign_cache();
-    let mut workers = 0usize;
-    let mut json_out = None;
-    let mut csv_out = None;
-    let mut summary_json = None;
-    let mut timings = false;
-    let mut record = None;
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {arg}"))
-        };
-        match arg.as_str() {
-            "--cache" => cache = PathBuf::from(value(&mut i)?),
-            "--workers" => {
-                workers = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
-            "--json" => json_out = Some(PathBuf::from(value(&mut i)?)),
-            "--csv" => csv_out = Some(PathBuf::from(value(&mut i)?)),
-            "--summary-json" => summary_json = Some(PathBuf::from(value(&mut i)?)),
-            "--timings" => timings = true,
-            "--record" => record = Some(PathBuf::from(value(&mut i)?)),
-            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-            other => {
-                if spec.is_some() {
-                    return Err(format!("unexpected positional argument {other:?}"));
-                }
-                spec = Some(PathBuf::from(other));
-            }
-        }
-        i += 1;
-    }
-    let spec = spec.ok_or("campaign requires a spec file argument")?;
-    match action.as_str() {
-        "run" => Ok(Invocation::CampaignRun {
-            spec,
-            cache,
-            workers,
-            json_out,
-            csv_out,
-            summary_json,
-            timings,
-            record,
-        }),
-        "plan" => Ok(Invocation::CampaignPlan { spec }),
-        other => Err(format!(
-            "unknown campaign action {other} (run | plan | replay | trace-summary | submit | watch | status | cancel | aggregates | cache)"
-        )),
-    }
-}
-
-/// Parse the `campaign replay|trace-summary <trace.jsonl>` forms.
-fn parse_campaign_trace_args(action: &str, args: &[String]) -> Result<Invocation, String> {
-    let mut trace = None;
-    let mut lenient = false;
-    let mut report = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        match arg.as_str() {
-            "--strict" if action == "replay" => lenient = false,
-            "--lenient" if action == "replay" => lenient = true,
-            "--report" if action == "replay" => {
-                i += 1;
-                report = Some(PathBuf::from(
-                    args.get(i)
-                        .ok_or_else(|| format!("missing value after {arg}"))?,
-                ));
-            }
-            other if other.starts_with("--") => {
-                return Err(format!("unknown campaign {action} flag {other}"))
-            }
-            other => {
-                if trace.is_some() {
-                    return Err(format!("unexpected positional argument {other:?}"));
-                }
-                trace = Some(PathBuf::from(other));
-            }
-        }
-        i += 1;
-    }
-    let trace = trace.ok_or_else(|| format!("campaign {action} requires a trace file"))?;
-    match action {
-        "replay" => Ok(Invocation::CampaignReplay {
-            trace,
-            lenient,
-            report,
-        }),
-        "trace-summary" => Ok(Invocation::CampaignTraceSummary { trace }),
-        other => Err(format!("unknown campaign trace action {other}")),
-    }
-}
-
-/// Parse the `campaign cache <action>` argument form.
-fn parse_campaign_cache_args(args: &[String]) -> Result<Invocation, String> {
     let action = args
         .first()
-        .ok_or("campaign cache requires an action (stats | compact)")?;
-    let mut cache = default_campaign_cache();
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        match arg.as_str() {
-            "--cache" => {
-                i += 1;
-                cache = PathBuf::from(
-                    args.get(i)
-                        .ok_or_else(|| format!("missing value after {arg}"))?,
-                );
+        .ok_or_else(|| format!("campaign requires an action ({CAMPAIGN_ACTIONS})"))?;
+    let (name, rest) = (format!("campaign {action}"), &args[1..]);
+    Ok(match action.as_str() {
+        "run" => {
+            let values = [
+                "--cache",
+                "--workers",
+                "--json",
+                "--csv",
+                "--summary-json",
+                "--record",
+            ];
+            let s = scan(&name, rest, &values, &["--timings"], SPEC)?;
+            Invocation::CampaignRun {
+                spec: s.required()?.into(),
+                cache: s.cache(),
+                workers: s.num("--workers", 0)?,
+                json_out: s.path("--json"),
+                csv_out: s.path("--csv"),
+                summary_json: s.path("--summary-json"),
+                timings: s.has("--timings"),
+                record: s.path("--record"),
             }
-            other => return Err(format!("unexpected campaign cache argument {other:?}")),
         }
-        i += 1;
-    }
-    match action.as_str() {
-        "stats" => Ok(Invocation::CampaignCacheStats { cache }),
-        "compact" => Ok(Invocation::CampaignCacheCompact { cache }),
-        other => Err(format!(
-            "unknown campaign cache action {other} (stats | compact)"
-        )),
-    }
+        "plan" => Invocation::CampaignPlan {
+            spec: scan(&name, rest, &[], &[], SPEC)?.required()?.into(),
+        },
+        "replay" => {
+            let s = scan(
+                &name,
+                rest,
+                &["--report"],
+                &["--strict", "--lenient"],
+                TRACE,
+            )?;
+            // `--strict` and `--lenient` override each other; the last wins.
+            let lenient = s.flags.iter().rev().find_map(|(flag, _)| match *flag {
+                "--lenient" => Some(true),
+                "--strict" => Some(false),
+                _ => None,
+            });
+            Invocation::CampaignReplay {
+                trace: s.required()?.into(),
+                lenient: lenient.unwrap_or(false),
+                report: s.path("--report"),
+            }
+        }
+        "trace-summary" => Invocation::CampaignTraceSummary {
+            trace: scan(&name, rest, &[], &[], TRACE)?.required()?.into(),
+        },
+        "cache" => {
+            let sub = rest
+                .first()
+                .ok_or("campaign cache requires an action (stats | compact)")?;
+            let s = scan(
+                &format!("{name} {sub}"),
+                &rest[1..],
+                &["--cache"],
+                &[],
+                None,
+            )?;
+            match sub.as_str() {
+                "stats" => Invocation::CampaignCacheStats { cache: s.cache() },
+                "compact" => Invocation::CampaignCacheCompact { cache: s.cache() },
+                other => {
+                    return Err(format!(
+                        "unknown campaign cache action {other} (stats | compact)"
+                    ))
+                }
+            }
+        }
+        "submit" => {
+            let switches = ["--watch", "--cluster", "--record"];
+            let s = scan(&name, rest, &["--server"], &switches, SPEC)?;
+            Invocation::CampaignSubmit {
+                spec: s.required()?.into(),
+                server: s.server(),
+                watch: s.has("--watch"),
+                cluster: s.has("--cluster"),
+                record: s.has("--record"),
+            }
+        }
+        "watch" => {
+            let s = scan(&name, rest, &["--server"], &["--aggregates"], JOB)?;
+            Invocation::CampaignWatch {
+                id: s.required()?,
+                server: s.server(),
+                aggregates: s.has("--aggregates"),
+            }
+        }
+        "aggregates" => {
+            let values = ["--server", "--axis", "--metric"];
+            let s = scan(&name, rest, &values, &["--json"], JOB)?;
+            Invocation::CampaignAggregates {
+                id: s.required()?,
+                server: s.server(),
+                axis: s.value("--axis"),
+                metric: s.value("--metric"),
+                json: s.has("--json"),
+            }
+        }
+        "status" => {
+            let s = scan(&name, rest, &["--server"], &[], JOB)?;
+            Invocation::CampaignStatus {
+                server: s.server(),
+                id: s.positional,
+            }
+        }
+        "cancel" => {
+            let s = scan(&name, rest, &["--server"], &[], JOB)?;
+            Invocation::CampaignCancel {
+                id: s.required()?,
+                server: s.server(),
+            }
+        }
+        other => {
+            return Err(format!(
+                "unknown campaign action {other} ({CAMPAIGN_ACTIONS})"
+            ))
+        }
+    })
 }
 
 /// Parse CLI arguments (without the binary name).
@@ -644,105 +567,74 @@ pub fn parse_args(args: &[String]) -> Result<Invocation, String> {
     let Some(sub) = args.first() else {
         return Ok(Invocation::Help);
     };
-    if sub == "campaign" {
-        return parse_campaign_args(&args[1..]);
-    }
-    if sub == "serve" {
-        return parse_serve_like_args(&args[1..], false);
-    }
-    if sub == "cluster" {
-        return parse_cluster_args(&args[1..]);
-    }
-    let mut command = None;
-    let mut tags = Tags::new();
-    let mut rate = 10.0;
-    let mut store = default_store();
-    let mut kernel = "asm".to_string();
-    let mut threads = 1u32;
-    let mut mode = "openmp".to_string();
-    let mut write_block = 1u64 << 20;
-    let mut cycles = 0u64;
-
-    let mut i = 1;
-    while i < args.len() {
-        let arg = &args[i];
-        let value = |i: &mut usize| -> Result<String, String> {
-            *i += 1;
-            args.get(*i)
-                .cloned()
-                .ok_or_else(|| format!("missing value after {arg}"))
-        };
-        match arg.as_str() {
-            "--tags" => tags = Tags::parse(&value(&mut i)?),
-            "--rate" => rate = value(&mut i)?.parse().map_err(|e| format!("--rate: {e}"))?,
-            "--store" => store = PathBuf::from(value(&mut i)?),
-            "--kernel" => kernel = value(&mut i)?,
-            "--threads" => {
-                threads = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?
-            }
-            "--mode" => mode = value(&mut i)?,
-            "--cycles" => {
-                cycles = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--cycles: {e}"))?
-            }
-            "--write-block" => {
-                write_block = value(&mut i)?
-                    .parse()
-                    .map_err(|e| format!("--write-block: {e}"))?
-            }
-            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
-            other => {
-                if command.is_some() {
-                    return Err(format!(
-                        "unexpected positional argument {other:?} (quote the command)"
-                    ));
-                }
-                command = Some(other.to_string());
+    let rest = &args[1..];
+    Ok(match sub.as_str() {
+        "campaign" => return parse_campaign_args(rest),
+        "cluster" => return parse_cluster_args(rest),
+        "serve" => Invocation::Serve(scan(sub, rest, &SERVE_FLAGS, &[], None)?.serve_options()?),
+        "profile" => {
+            let s = scan(sub, rest, &["--tags", "--rate", "--store"], &[], COMMAND)?;
+            Invocation::Profile {
+                command: s.required()?,
+                tags: s.tags(),
+                rate: s.num("--rate", 10.0)?,
+                store: s.store(),
             }
         }
-        i += 1;
-    }
-
-    let need_command = |what: &str| {
-        command
-            .clone()
-            .ok_or_else(|| format!("{what} requires a command argument"))
-    };
-    match sub.as_str() {
-        "profile" => Ok(Invocation::Profile {
-            command: need_command("profile")?,
-            tags,
-            rate,
-            store,
-        }),
-        "emulate" => Ok(Invocation::Emulate {
-            command: need_command("emulate")?,
-            tags,
-            kernel,
-            threads,
-            mode,
-            write_block,
-            store,
-        }),
-        "worker" => Ok(Invocation::Worker { kernel, cycles }),
-        "stats" => Ok(Invocation::Stats {
-            command: need_command("stats")?,
-            tags,
-            store,
-        }),
-        "inspect" => Ok(Invocation::Inspect {
-            command: need_command("inspect")?,
-            tags,
-            store,
-        }),
-        "table1" => Ok(Invocation::Table1),
-        "machines" => Ok(Invocation::Machines),
-        "help" | "--help" | "-h" => Ok(Invocation::Help),
-        other => Err(format!("unknown subcommand {other}")),
-    }
+        "emulate" => {
+            let values = [
+                "--tags",
+                "--kernel",
+                "--threads",
+                "--mode",
+                "--write-block",
+                "--store",
+            ];
+            let s = scan(sub, rest, &values, &[], COMMAND)?;
+            Invocation::Emulate {
+                command: s.required()?,
+                tags: s.tags(),
+                kernel: s.value("--kernel").unwrap_or_else(|| "asm".into()),
+                threads: s.num("--threads", 1)?,
+                mode: s.value("--mode").unwrap_or_else(|| "openmp".into()),
+                write_block: s.num("--write-block", 1 << 20)?,
+                store: s.store(),
+            }
+        }
+        "worker" => {
+            let s = scan(sub, rest, &["--kernel", "--cycles"], &[], None)?;
+            Invocation::Worker {
+                kernel: s.value("--kernel").unwrap_or_else(|| "asm".into()),
+                cycles: s.num("--cycles", 0)?,
+            }
+        }
+        "stats" | "inspect" => {
+            let s = scan(sub, rest, &["--tags", "--store"], &[], COMMAND)?;
+            let (command, tags, store) = (s.required()?, s.tags(), s.store());
+            if sub == "stats" {
+                Invocation::Stats {
+                    command,
+                    tags,
+                    store,
+                }
+            } else {
+                Invocation::Inspect {
+                    command,
+                    tags,
+                    store,
+                }
+            }
+        }
+        "table1" | "machines" | "help" | "--help" | "-h" => {
+            scan(sub, rest, &[], &[], None)?;
+            match sub.as_str() {
+                "table1" => Invocation::Table1,
+                "machines" => Invocation::Machines,
+                _ => Invocation::Help,
+            }
+        }
+        other => return Err(format!("unknown subcommand {other}")),
+    })
 }
 
 /// Resolve a kernel name to a [`KernelChoice`].
@@ -811,54 +703,11 @@ the record alone. `submit --record` asks the server to record; the
 sealed trace is served at GET /campaigns/<id>/trace.
 ";
 
-/// Stream a job's NDJSON events to `out` until it reaches a terminal
-/// state, erroring (nonzero exit) when the job failed.
-fn stream_job_events(
-    client: &synapse_server::Client,
-    id: &str,
-    aggregates: bool,
-    out: &mut impl std::io::Write,
-) -> Result<(), String> {
-    let mut write_err: Option<std::io::Error> = None;
-    let deliver = |line: &str| {
-        // Flush per line: watchers are typically piped into
-        // `jq`/logs and want events as they land. A dead pipe
-        // (`... | head`) aborts the watch instead of silently
-        // draining the rest of the sweep.
-        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
-            write_err = Some(e);
-        }
-        write_err.is_none()
-    };
-    let last = if aggregates {
-        client.watch_aggregates(id, deliver)
-    } else {
-        client.watch(id, deliver)
-    }
-    .map_err(|e| e.to_string())?;
-    if let Some(e) = write_err {
-        // Truncating a watch stream (`... | head`) is routine, not an
-        // error; other write failures still exit nonzero.
-        return if e.kind() == std::io::ErrorKind::BrokenPipe {
-            Ok(())
-        } else {
-            Err(e.to_string())
-        };
-    }
-    match last["event"].as_str() {
-        Some("failed") => Err(last["error"]
-            .as_str()
-            .map(|m| format!("campaign {id} failed: {m}"))
-            .unwrap_or_else(|| format!("campaign {id} failed"))),
-        _ => Ok(()),
-    }
-}
-
 /// Render a `GET /campaigns/<id>/aggregates` document as the human
 /// table `campaign aggregates` prints: a header line with job identity
 /// and sweep progress, then one row per (axis, value, metric) slice —
 /// overall first — with count, mean and the sketch quantiles.
-fn render_aggregates_table(doc: &serde_json::Value) -> String {
+fn render_aggregates_table(doc: &Value) -> String {
     use std::fmt::Write as _;
     let mut text = String::new();
     let _ = writeln!(
@@ -876,7 +725,7 @@ fn render_aggregates_table(doc: &serde_json::Value) -> String {
         "{:<13} {:<14} {:<10} {:>7} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "AXIS", "VALUE", "METRIC", "N", "MEAN", "P50", "P95", "P99", "MIN", "MAX",
     );
-    let mut row = |axis: &str, value: &str, metrics: &serde_json::Value| {
+    let mut row = |axis: &str, value: &str, metrics: &Value| {
         let Some(metrics) = metrics.as_object() else {
             return;
         };
@@ -911,15 +760,106 @@ fn render_aggregates_table(doc: &serde_json::Value) -> String {
     text
 }
 
+/// What executing an invocation returns; any error renders as the
+/// message `main` prints after `error:`.
+type Outcome = Result<(), Box<dyn Error>>;
+
+/// Print one JSON document (a submit ack, status, cancel echo or
+/// registry view) as a single line.
+fn print_json(out: &mut impl Write, doc: &Value) -> Outcome {
+    writeln!(out, "{}", serde_json::to_string(doc)?)?;
+    Ok(())
+}
+
+/// Print a job's NDJSON stream to `out` until it ends. `follow` runs
+/// the client call, handing each line to the callback it is given and
+/// returning the terminal event; a `failed` job is an error naming its
+/// id. Each line is flushed as it lands: watchers are typically piped
+/// into `jq` or logs.
+///
+/// A dead stdout (`... | head`) makes the callback hang up, which the
+/// client reports as a protocol error — so the pipe is checked before
+/// the client's outcome, and a broken pipe exits cleanly: truncating
+/// a watch is routine, not an error.
+fn print_stream(
+    out: &mut impl Write,
+    follow: impl FnOnce(&mut dyn FnMut(&str) -> bool) -> Result<Value, ServerError>,
+) -> Outcome {
+    let mut write_err: Option<std::io::Error> = None;
+    let last = follow(&mut |line| {
+        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+            write_err = Some(e);
+        }
+        write_err.is_none()
+    });
+    if let Some(e) = write_err {
+        return match e.kind() {
+            std::io::ErrorKind::BrokenPipe => Ok(()),
+            _ => Err(e.into()),
+        };
+    }
+    let last = last?;
+    if last["event"].as_str() != Some("failed") {
+        return Ok(());
+    }
+    let id = last["id"].as_str().unwrap_or("?");
+    Err(match last["error"].as_str() {
+        Some(message) => format!("campaign {id} failed: {message}"),
+        None => format!("campaign {id} failed"),
+    }
+    .into())
+}
+
+/// Bind and run `synapse serve` until it shuts down. With `cluster`
+/// the process is a coordinator with those worker addresses
+/// registered; that is the only difference between `serve` and
+/// `cluster start`.
+fn serve(options: ServeOptions, cluster: Option<Vec<String>>, out: &mut impl Write) -> Outcome {
+    let config = synapse_server::ServerConfig {
+        addr: options.addr,
+        cache_dir: Some(options.cache.clone()),
+        queue_workers: options.queue_workers,
+        job_workers: options.workers,
+        max_connections: options.max_connections,
+        handler_threads: options.reactor_threads,
+        ..Default::default()
+    };
+    let mut server = synapse_server::Server::bind(config)?;
+    let (role, detail) = match cluster {
+        None => ("serve", format!("{} queue workers", options.queue_workers)),
+        Some(workers) => {
+            let coordinator = std::sync::Arc::new(synapse_cluster::Coordinator::new(
+                synapse_cluster::ClusterConfig::default(),
+            ));
+            for worker in &workers {
+                coordinator.registry().register(worker);
+            }
+            server = server.with_cluster(coordinator);
+            let detail = format!("{} workers registered", workers.len());
+            ("cluster coordinator", detail)
+        }
+    };
+    let bound = server.local_addr()?;
+    let cache = options.cache.display();
+    writeln!(
+        out,
+        "synapse {role} listening on {bound} (cache {cache}, {detail})"
+    )?;
+    out.flush()?;
+    server.run()?;
+    writeln!(out, "synapse {role} shut down")?;
+    Ok(())
+}
+
 /// Execute an invocation, writing human-readable output to `out`.
-pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), String> {
+pub fn run(invocation: Invocation, out: &mut impl Write) -> Result<(), String> {
+    execute(invocation, out).map_err(|e| e.to_string())
+}
+
+fn execute(invocation: Invocation, out: &mut impl Write) -> Outcome {
     match invocation {
-        Invocation::Help => {
-            write!(out, "{USAGE}").map_err(|e| e.to_string())?;
-        }
-        Invocation::Table1 => {
-            write!(out, "{}", metrics::render_table1()).map_err(|e| e.to_string())?;
-        }
+        Invocation::Help => write!(out, "{USAGE}")?,
+        Invocation::Table1 => write!(out, "{}", metrics::render_table1())?,
         Invocation::Machines => {
             for name in synapse_sim::MACHINE_NAMES {
                 let m = synapse_sim::machine_by_name(name).expect("catalog name");
@@ -931,8 +871,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                     m.cpu.nominal_freq_hz / 1e9,
                     m.total_memory as f64 / (1u64 << 30) as f64,
                     m.default_fs.name(),
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
             }
         }
         Invocation::Profile {
@@ -941,10 +880,9 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             rate,
             store,
         } => {
-            let store = FileStore::open(&store).map_err(|e| e.to_string())?;
+            let store = FileStore::open(&store)?;
             let config = ProfilerConfig::with_rate(rate);
-            let outcome = synapse::api::profile(&command, Some(tags), &store, &config)
-                .map_err(|e| e.to_string())?;
+            let outcome = synapse::api::profile(&command, Some(tags), &store, &config)?;
             let totals = outcome.profile.totals();
             writeln!(
                 out,
@@ -955,12 +893,11 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 outcome.profile.len(),
                 totals.cycles,
                 totals.bytes_written,
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
         }
         Invocation::Worker { kernel, cycles } => {
             let run = kernel_by_name(&kernel)?.build().execute_cycles(cycles);
-            writeln!(out, "consumed={}", run.consumed_cycles).map_err(|e| e.to_string())?;
+            writeln!(out, "consumed={}", run.consumed_cycles)?;
         }
         Invocation::Emulate {
             command,
@@ -971,11 +908,11 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             write_block,
             store,
         } => {
-            let store = FileStore::open(&store).map_err(|e| e.to_string())?;
+            let store = FileStore::open(&store)?;
             let mode = match mode.to_ascii_lowercase().as_str() {
                 "openmp" | "omp" => synapse_sim::ParallelMode::OpenMp,
                 "mpi" | "openmpi" => synapse_sim::ParallelMode::Mpi,
-                other => return Err(format!("unknown mode {other} (openmp | mpi)")),
+                other => return Err(format!("unknown mode {other} (openmp | mpi)").into()),
             };
             let plan = EmulationPlan {
                 kernel: kernel_by_name(&kernel)?,
@@ -986,8 +923,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 io_write_block: write_block,
                 ..Default::default()
             };
-            let report = synapse::api::emulate(&command, Some(tags), &store, &plan)
-                .map_err(|e| e.to_string())?;
+            let report = synapse::api::emulate(&command, Some(tags), &store, &plan)?;
             writeln!(
                 out,
                 "emulated {:?}: Tx={:.3}s samples={} directed_cycles={} consumed_cycles={}",
@@ -996,96 +932,18 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 report.samples,
                 report.consumed.directed_cycles,
                 report.consumed.cycles,
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
         }
-        Invocation::Serve {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
-        } => {
-            let config = synapse_server::ServerConfig {
-                addr,
-                cache_dir: Some(cache.clone()),
-                queue_workers,
-                job_workers: workers,
-                max_connections,
-                handler_threads: reactor_threads,
-                ..Default::default()
-            };
-            let server = synapse_server::Server::bind(config).map_err(|e| e.to_string())?;
-            let bound = server.local_addr().map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "synapse serve listening on {bound} (cache {}, {queue_workers} queue workers)",
-                cache.display(),
-            )
-            .map_err(|e| e.to_string())?;
-            out.flush().map_err(|e| e.to_string())?;
-            server.run().map_err(|e| e.to_string())?;
-            writeln!(out, "synapse serve shut down").map_err(|e| e.to_string())?;
-        }
+        Invocation::Serve(options) => serve(options, None, out)?,
         Invocation::ClusterStart {
-            addr,
-            cache,
-            queue_workers,
-            workers,
-            max_connections,
-            reactor_threads,
+            serve: options,
             worker_addrs,
-        } => {
-            let config = synapse_server::ServerConfig {
-                addr,
-                cache_dir: Some(cache.clone()),
-                queue_workers,
-                job_workers: workers,
-                max_connections,
-                handler_threads: reactor_threads,
-                ..Default::default()
-            };
-            let coordinator = std::sync::Arc::new(synapse_cluster::Coordinator::new(
-                synapse_cluster::ClusterConfig::default(),
-            ));
-            for worker in &worker_addrs {
-                coordinator.registry().register(worker);
-            }
-            let server = synapse_server::Server::bind(config)
-                .map_err(|e| e.to_string())?
-                .with_cluster(coordinator);
-            let bound = server.local_addr().map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "synapse cluster coordinator listening on {bound} (cache {}, {} workers registered)",
-                cache.display(),
-                worker_addrs.len(),
-            )
-            .map_err(|e| e.to_string())?;
-            out.flush().map_err(|e| e.to_string())?;
-            server.run().map_err(|e| e.to_string())?;
-            writeln!(out, "synapse cluster coordinator shut down").map_err(|e| e.to_string())?;
-        }
+        } => serve(options, Some(worker_addrs), out)?,
         Invocation::ClusterAddWorker { worker, server } => {
-            let client = synapse_server::Client::new(server);
-            let doc = client.register_worker(&worker).map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "{}",
-                serde_json::to_string(&doc).map_err(|e| e.to_string())?
-            )
-            .map_err(|e| e.to_string())?;
+            print_json(out, &Client::new(server).register_worker(&worker)?)?;
         }
         Invocation::ClusterStatus { server } => {
-            let client = synapse_server::Client::new(server);
-            let doc = client.cluster_status().map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "{}",
-                serde_json::to_string(&doc).map_err(|e| e.to_string())?
-            )
-            .map_err(|e| e.to_string())?;
+            print_json(out, &Client::new(server).cluster_status()?)?;
         }
         Invocation::CampaignSubmit {
             spec,
@@ -1094,76 +952,34 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             cluster,
             record,
         } => {
-            let text = std::fs::read_to_string(&spec).map_err(|e| e.to_string())?;
-            let client = synapse_server::Client::new(server);
+            let text = std::fs::read_to_string(&spec)?;
+            let client = Client::new(server);
             if record {
                 // Recorded submits ack first (the ack carries the
                 // trace id); `--watch` then follows the stream on a
                 // second connection. Fetch the sealed trace afterwards
                 // with `GET /campaigns/<id>/trace`.
-                let ack = client
-                    .submit_recorded(&text, cluster)
-                    .map_err(|e| e.to_string())?;
-                writeln!(
-                    out,
-                    "{}",
-                    serde_json::to_string(&ack).map_err(|e| e.to_string())?
-                )
-                .map_err(|e| e.to_string())?;
+                let ack = client.submit_recorded(&text, cluster)?;
+                print_json(out, &ack)?;
                 if watch {
-                    let id = ack["id"]
-                        .as_str()
-                        .ok_or("submit ack carries no job id")?
-                        .to_string();
-                    stream_job_events(&client, &id, false, out)?;
+                    let id = ack["id"].as_str().ok_or("submit ack carries no job id")?;
+                    print_stream(out, |deliver| client.watch(id, deliver))?;
                 }
             } else if watch {
                 // Submit and stream on ONE connection (`?watch=1`):
                 // the ack is the stream's first line, events follow.
-                let mut write_err: Option<std::io::Error> = None;
-                let deliver = |line: &str| {
-                    if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
-                        write_err = Some(e);
-                    }
-                    write_err.is_none()
-                };
-                let watched = if cluster {
-                    client.submit_watch_distributed(&text, deliver)
-                } else {
-                    client.submit_watch(&text, deliver)
-                };
-                // Check the pipe BEFORE the protocol outcome: a dead
-                // stdout (`... | head`) aborts the stream client-side,
-                // which surfaces as a protocol error from submit_watch
-                // — but truncating a watch is routine, not an error.
-                if let Some(e) = write_err {
-                    return if e.kind() == std::io::ErrorKind::BrokenPipe {
-                        Ok(())
+                print_stream(out, |deliver| {
+                    let watched = if cluster {
+                        client.submit_watch_distributed(&text, deliver)
                     } else {
-                        Err(e.to_string())
+                        client.submit_watch(&text, deliver)
                     };
-                }
-                let (_ack, summary) = watched.map_err(|e| e.to_string())?;
-                if summary["event"].as_str() == Some("failed") {
-                    return Err(summary["error"]
-                        .as_str()
-                        .map(|m| format!("campaign failed: {m}"))
-                        .unwrap_or_else(|| "campaign failed".into()));
-                }
+                    watched.map(|(_ack, summary)| summary)
+                })?;
+            } else if cluster {
+                print_json(out, &client.submit_distributed(&text)?)?;
             } else {
-                let reply = if cluster {
-                    client
-                        .submit_distributed(&text)
-                        .map_err(|e| e.to_string())?
-                } else {
-                    client.submit(&text).map_err(|e| e.to_string())?
-                };
-                writeln!(
-                    out,
-                    "{}",
-                    serde_json::to_string(&reply).map_err(|e| e.to_string())?
-                )
-                .map_err(|e| e.to_string())?;
+                print_json(out, &client.submit(&text)?)?;
             }
         }
         Invocation::CampaignWatch {
@@ -1171,8 +987,14 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             server,
             aggregates,
         } => {
-            let client = synapse_server::Client::new(server);
-            stream_job_events(&client, &id, aggregates, out)?;
+            let client = Client::new(server);
+            print_stream(out, |deliver| {
+                if aggregates {
+                    client.watch_aggregates(&id, deliver)
+                } else {
+                    client.watch(&id, deliver)
+                }
+            })?;
         }
         Invocation::CampaignAggregates {
             id,
@@ -1181,47 +1003,27 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             metric,
             json,
         } => {
-            let client = synapse_server::Client::new(server);
-            let doc = client
-                .aggregates(&id, axis.as_deref(), metric.as_deref())
-                .map_err(|e| e.to_string())?;
+            let client = Client::new(server);
+            let doc = client.aggregates(&id, axis.as_deref(), metric.as_deref())?;
             if json {
-                writeln!(
-                    out,
-                    "{}",
-                    serde_json::to_string(&doc).map_err(|e| e.to_string())?
-                )
-                .map_err(|e| e.to_string())?;
+                print_json(out, &doc)?;
             } else {
-                write!(out, "{}", render_aggregates_table(&doc)).map_err(|e| e.to_string())?;
+                write!(out, "{}", render_aggregates_table(&doc))?;
             }
         }
         Invocation::CampaignStatus { id, server } => {
-            let client = synapse_server::Client::new(server);
+            let client = Client::new(server);
             let doc = match id {
-                Some(id) => client.status(&id).map_err(|e| e.to_string())?,
-                None => client.list().map_err(|e| e.to_string())?,
+                Some(id) => client.status(&id)?,
+                None => client.list()?,
             };
-            writeln!(
-                out,
-                "{}",
-                serde_json::to_string(&doc).map_err(|e| e.to_string())?
-            )
-            .map_err(|e| e.to_string())?;
+            print_json(out, &doc)?;
         }
         Invocation::CampaignCancel { id, server } => {
-            let client = synapse_server::Client::new(server);
-            let doc = client.cancel(&id).map_err(|e| e.to_string())?;
-            writeln!(
-                out,
-                "{}",
-                serde_json::to_string(&doc).map_err(|e| e.to_string())?
-            )
-            .map_err(|e| e.to_string())?;
+            print_json(out, &Client::new(server).cancel(&id)?)?;
         }
         Invocation::CampaignPlan { spec } => {
-            let spec =
-                synapse_campaign::CampaignSpec::from_path(&spec).map_err(|e| e.to_string())?;
+            let spec = synapse_campaign::CampaignSpec::from_path(&spec)?;
             let points = synapse_campaign::expand(&spec);
             writeln!(
                 out,
@@ -1238,18 +1040,16 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 spec.filesystems.len(),
                 spec.atoms.len(),
                 spec.sample_order.len(),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             for p in points.iter().take(10) {
-                writeln!(out, "  [{:>4}] {}", p.index, p.label()).map_err(|e| e.to_string())?;
+                writeln!(out, "  [{:>4}] {}", p.index, p.label())?;
             }
             if points.len() > 10 {
-                writeln!(out, "  ... {} more", points.len() - 10).map_err(|e| e.to_string())?;
+                writeln!(out, "  ... {} more", points.len() - 10)?;
             }
         }
         Invocation::CampaignCacheStats { cache } => {
-            let result_cache = synapse_campaign::ResultCache::open_with_workers(&cache, 0)
-                .map_err(|e| e.to_string())?;
+            let result_cache = synapse_campaign::ResultCache::open_with_workers(&cache, 0)?;
             let stats = result_cache.stats();
             writeln!(
                 out,
@@ -1262,13 +1062,11 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 stats.dirty_shards,
                 stats.bytes_on_disk,
                 stats.engine,
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
         }
         Invocation::CampaignCacheCompact { cache } => {
-            let result_cache = synapse_campaign::ResultCache::open_with_workers(&cache, 0)
-                .map_err(|e| e.to_string())?;
-            let pass = result_cache.compact().map_err(|e| e.to_string())?;
+            let result_cache = synapse_campaign::ResultCache::open_with_workers(&cache, 0)?;
+            let pass = result_cache.compact()?;
             writeln!(
                 out,
                 "compacted {}: {} -> {} shard files ({} results){}",
@@ -1281,8 +1079,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 } else {
                     " — already compact"
                 },
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
         }
         Invocation::CampaignRun {
             spec,
@@ -1294,8 +1091,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             timings,
             record,
         } => {
-            let spec =
-                synapse_campaign::CampaignSpec::from_path(&spec).map_err(|e| e.to_string())?;
+            let spec = synapse_campaign::CampaignSpec::from_path(&spec)?;
             let config = synapse_campaign::RunConfig { workers };
             let mut trace_id = None;
             let outcome = if let Some(trace_path) = &record {
@@ -1304,25 +1100,22 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 // post-run stage timings are stamped in before sealing.
                 let recorder = synapse_trace::TraceRecorder::new(&spec);
                 let result_cache =
-                    synapse_campaign::ResultCache::open_with_workers(&cache, config.workers)
-                        .map_err(|e| e.to_string())?;
+                    synapse_campaign::ResultCache::open_with_workers(&cache, config.workers)?;
                 let outcome = synapse_campaign::run_campaign_on(
                     &spec,
                     &config,
                     &result_cache,
                     &|event| recorder.observe(&event),
                     &synapse_campaign::CancelToken::new(),
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
                 recorder.record_stats(&outcome.stats);
-                recorder.write_to(trace_path).map_err(|e| e.to_string())?;
+                recorder.write_to(trace_path)?;
                 trace_id = Some(recorder.trace_id().to_string());
                 outcome
             } else {
-                synapse_campaign::run_campaign(&spec, &config, Some(&cache))
-                    .map_err(|e| e.to_string())?
+                synapse_campaign::run_campaign(&spec, &config, Some(&cache))?
             };
-            write!(out, "{}", outcome.report.render_summary()).map_err(|e| e.to_string())?;
+            write!(out, "{}", outcome.report.render_summary())?;
             let stats = outcome.stats;
             writeln!(
                 out,
@@ -1333,15 +1126,13 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 stats.simulated,
                 stats.cache_hits,
                 stats.hit_rate() * 100.0,
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             if timings {
                 writeln!(
                     out,
                     "  stages: expansion {:.3}s, sweep {:.3}s, aggregation {:.3}s",
                     stats.expand_secs, stats.sweep_secs, stats.aggregate_secs,
-                )
-                .map_err(|e| e.to_string())?;
+                )?;
                 // Per-point latency distributions come from the same
                 // process-wide histograms `/metrics` exposes; the
                 // registry call returns the series the engine already
@@ -1362,7 +1153,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                     ),
                 ] {
                     if hist.count() == 0 {
-                        writeln!(out, "  {label}: no observations").map_err(|e| e.to_string())?;
+                        writeln!(out, "  {label}: no observations")?;
                         continue;
                     }
                     writeln!(
@@ -1372,23 +1163,19 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                         hist.quantile(0.9) * 1e3,
                         hist.quantile(0.99) * 1e3,
                         hist.count(),
-                    )
-                    .map_err(|e| e.to_string())?;
+                    )?;
                 }
             }
             if let Some(path) = json_out {
-                let json = outcome.report.to_json_pretty().map_err(|e| e.to_string())?;
-                std::fs::write(&path, json).map_err(|e| e.to_string())?;
-                writeln!(out, "  report written to {}", path.display())
-                    .map_err(|e| e.to_string())?;
+                std::fs::write(&path, outcome.report.to_json_pretty()?)?;
+                writeln!(out, "  report written to {}", path.display())?;
             }
             if let Some(path) = csv_out {
-                std::fs::write(&path, outcome.report.to_csv()).map_err(|e| e.to_string())?;
-                writeln!(out, "  csv written to {}", path.display()).map_err(|e| e.to_string())?;
+                std::fs::write(&path, outcome.report.to_csv())?;
+                writeln!(out, "  csv written to {}", path.display())?;
             }
             if let (Some(path), Some(id)) = (&record, &trace_id) {
-                writeln!(out, "  trace {id} recorded to {}", path.display())
-                    .map_err(|e| e.to_string())?;
+                writeln!(out, "  trace {id} recorded to {}", path.display())?;
             }
             if let Some(path) = summary_json {
                 let mut summary = serde_json::json!({
@@ -1402,7 +1189,7 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                     "points_per_sec": stats.points_per_sec(),
                     "timings": stats.timings_json(),
                 });
-                if let (Some(trace_path), Some(id), serde_json::Value::Object(doc)) =
+                if let (Some(trace_path), Some(id), Value::Object(doc)) =
                     (&record, &trace_id, &mut summary)
                 {
                     doc.insert(
@@ -1413,10 +1200,8 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                         }),
                     );
                 }
-                let json = serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?;
-                std::fs::write(&path, json).map_err(|e| e.to_string())?;
-                writeln!(out, "  summary written to {}", path.display())
-                    .map_err(|e| e.to_string())?;
+                std::fs::write(&path, serde_json::to_string_pretty(&summary)?)?;
+                writeln!(out, "  summary written to {}", path.display())?;
             }
         }
         Invocation::CampaignReplay {
@@ -1424,13 +1209,13 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
             lenient,
             report,
         } => {
-            let loaded = synapse_trace::Trace::load(&trace).map_err(|e| e.to_string())?;
+            let loaded = synapse_trace::Trace::load(&trace)?;
             let mode = if lenient {
                 synapse_trace::ReplayMode::Lenient
             } else {
                 synapse_trace::ReplayMode::Strict
             };
-            let summary = loaded.verify(mode).map_err(|e| e.to_string())?;
+            let summary = loaded.verify(mode)?;
             writeln!(
                 out,
                 "replayed trace {}: {}/{} points, {} annotations ({})",
@@ -1443,42 +1228,37 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 } else {
                     format!("{} divergences", summary.divergences.len())
                 },
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
             for divergence in &summary.divergences {
-                writeln!(out, "  divergence: {divergence}").map_err(|e| e.to_string())?;
+                writeln!(out, "  divergence: {divergence}")?;
             }
             if let Some(path) = report {
                 // Reconstructed purely from the record — the simulator
                 // is never invoked, so this is byte-identical to the
                 // live run's report or an error.
-                let report = loaded.reconstruct_report().map_err(|e| e.to_string())?;
+                let report = loaded.reconstruct_report()?;
                 let rendered = if path.extension().is_some_and(|e| e == "csv") {
                     report.to_csv()
                 } else {
-                    report.to_json_pretty().map_err(|e| e.to_string())?
+                    report.to_json_pretty()?
                 };
-                std::fs::write(&path, rendered).map_err(|e| e.to_string())?;
-                writeln!(out, "  report reconstructed to {}", path.display())
-                    .map_err(|e| e.to_string())?;
+                std::fs::write(&path, rendered)?;
+                writeln!(out, "  report reconstructed to {}", path.display())?;
             }
         }
         Invocation::CampaignTraceSummary { trace } => {
-            let loaded = synapse_trace::Trace::load(&trace).map_err(|e| e.to_string())?;
-            write!(out, "{}", loaded.summary()).map_err(|e| e.to_string())?;
+            write!(out, "{}", synapse_trace::Trace::load(&trace)?.summary())?;
         }
         Invocation::Stats {
             command,
             tags,
             store,
         } => {
-            let store = FileStore::open(&store).map_err(|e| e.to_string())?;
+            let store = FileStore::open(&store)?;
             let key = synapse_model::ProfileKey::new(command.trim(), tags);
-            let set = ProfileStore::load_set(&store, &key).map_err(|e| e.to_string())?;
-            let rt = set.runtime_summary().map_err(|e| e.to_string())?;
-            let cycles = set
-                .totals_summary(|t| t.cycles as f64)
-                .map_err(|e| e.to_string())?;
+            let set = ProfileStore::load_set(&store, &key)?;
+            let rt = set.runtime_summary()?;
+            let cycles = set.totals_summary(|t| t.cycles as f64)?;
             writeln!(
                 out,
                 "{} runs: Tx mean={:.3}s std={:.3}s ci99={:.3}s | cycles mean={:.3e} ci99={:.3e}",
@@ -1488,19 +1268,17 @@ pub fn run(invocation: Invocation, out: &mut impl std::io::Write) -> Result<(), 
                 rt.ci99(),
                 cycles.mean,
                 cycles.ci99(),
-            )
-            .map_err(|e| e.to_string())?;
+            )?;
         }
         Invocation::Inspect {
             command,
             tags,
             store,
         } => {
-            let store = FileStore::open(&store).map_err(|e| e.to_string())?;
+            let store = FileStore::open(&store)?;
             let key = synapse_model::ProfileKey::new(command.trim(), tags);
-            let profile = store.load_representative(&key).map_err(|e| e.to_string())?;
-            let json = profile.to_json().map_err(|e| e.to_string())?;
-            writeln!(out, "{json}").map_err(|e| e.to_string())?;
+            let profile = store.load_representative(&key)?;
+            writeln!(out, "{}", profile.to_json()?)?;
         }
     }
     Ok(())
@@ -1570,6 +1348,103 @@ mod tests {
         assert!(parse_args(&argv(&["frobnicate"])).is_err());
         assert!(parse_args(&argv(&["profile"])).is_err()); // no command
         assert!(parse_args(&argv(&["profile", "a", "b"])).is_err()); // two positionals
+    }
+
+    #[test]
+    fn rejects_flags_another_subcommand_owns() {
+        for args in [
+            &["stats", "cmd", "--kernel", "c"][..],
+            &["inspect", "cmd", "--threads", "8"],
+            &["table1", "--rate", "3"],
+            &["profile", "cmd", "--write-block", "4096"],
+            &["campaign", "plan", "s.toml", "--cache", "/tmp/c"],
+        ] {
+            let err = parse_args(&argv(args)).unwrap_err();
+            assert!(err.contains("unknown"), "{args:?}: {err}");
+        }
+        // The emulator spawns MPI-analogue workers with exactly this argv.
+        assert_eq!(
+            parse_args(&argv(&["worker", "--kernel", "spin", "--cycles", "5000"])).unwrap(),
+            Invocation::Worker {
+                kernel: "spin".into(),
+                cycles: 5000,
+            }
+        );
+    }
+
+    /// A subcommand's argv prefix (plus a stand-in for a required
+    /// positional argument) and the flags `USAGE` lists for it, with
+    /// whether each takes a value.
+    type UsageEntry = (Vec<String>, Vec<(String, bool)>);
+
+    fn usage_entries() -> Vec<UsageEntry> {
+        let synopsis = USAGE.split("USAGE:\n").nth(1).unwrap();
+        let synopsis = synopsis.split("\n\n").next().unwrap();
+        let mut entries = Vec::new();
+        for entry in synopsis.split("\n  synapse ") {
+            let entry = entry.trim_start().trim_start_matches("synapse ");
+            let tokens: Vec<&str> = entry.split_whitespace().collect();
+            let word = |c: char| c.is_ascii_lowercase() || "-|1".contains(c);
+            let words = tokens.iter().take_while(|t| t.chars().all(word));
+            let (words, rest) = tokens.split_at(words.count());
+            let mut flags = Vec::new();
+            for (i, token) in rest.iter().enumerate() {
+                let bare = token.trim_start_matches('[');
+                if !bare.starts_with("--") {
+                    continue;
+                }
+                let takes_value = !token.ends_with(']') && rest.get(i + 1).is_some();
+                for flag in bare.trim_end_matches(']').split('|') {
+                    flags.push((flag.to_string(), takes_value));
+                }
+            }
+            let positional = rest
+                .first()
+                .is_some_and(|t| t.starts_with('<') || t.starts_with('"'));
+            let (last, prefix) = words.split_last().unwrap();
+            for word in last.split('|') {
+                let mut argv: Vec<String> = prefix.iter().map(|w| w.to_string()).collect();
+                argv.push(word.to_string());
+                if positional {
+                    argv.push("x".into());
+                }
+                entries.push((argv, flags.clone()));
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn usage_and_flag_tables_agree() {
+        let entries = usage_entries();
+        assert!(entries.len() >= 20, "{entries:?}");
+        let all_flags: Vec<(String, bool)> = entries.iter().flat_map(|(_, f)| f.clone()).collect();
+        let with_flag = |base: &[String], (flag, takes_value): &(String, bool)| {
+            let mut args = base.to_vec();
+            args.push(flag.clone());
+            if *takes_value {
+                args.push("1".into());
+            }
+            args
+        };
+        for (base, flags) in &entries {
+            parse_args(base).unwrap_or_else(|e| panic!("{base:?}: {e}"));
+            for flag in flags {
+                let args = with_flag(base, flag);
+                parse_args(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            }
+            for flag in all_flags
+                .iter()
+                .filter(|(f, _)| !flags.iter().any(|(o, _)| o == f))
+            {
+                let args = with_flag(base, flag);
+                assert!(
+                    parse_args(&args).is_err(),
+                    "{args:?} parses, but USAGE does not list {}",
+                    flag.0
+                );
+            }
+        }
     }
 
     #[test]
@@ -1902,14 +1777,14 @@ mod tests {
     fn parses_serve_and_campaign_client_commands() {
         assert_eq!(
             parse_args(&argv(&["serve"])).unwrap(),
-            Invocation::Serve {
+            Invocation::Serve(ServeOptions {
                 addr: DEFAULT_SERVER_ADDR.into(),
                 cache: default_campaign_cache(),
                 queue_workers: 2,
                 workers: 0,
                 max_connections: synapse_server::DEFAULT_MAX_CONNECTIONS,
                 reactor_threads: 0,
-            }
+            })
         );
         assert_eq!(
             parse_args(&argv(&[
@@ -1928,14 +1803,14 @@ mod tests {
                 "8",
             ]))
             .unwrap(),
-            Invocation::Serve {
+            Invocation::Serve(ServeOptions {
                 addr: "127.0.0.1:9999".into(),
                 cache: PathBuf::from("/tmp/srv"),
                 queue_workers: 4,
                 workers: 2,
                 max_connections: 64,
                 reactor_threads: 8,
-            }
+            })
         );
         assert!(parse_args(&argv(&["serve", "--queue-workers", "0"])).is_err());
         assert!(parse_args(&argv(&["serve", "--bogus"])).is_err());
@@ -2035,6 +1910,53 @@ mod tests {
         assert!(parse_args(&argv(&["campaign", "watch", "j1", "--axis", "machine"])).is_err());
     }
 
+    /// A stdout whose reader went away after `room` lines.
+    struct ClosingPipe {
+        room: usize,
+        kind: std::io::ErrorKind,
+    }
+
+    impl Write for ClosingPipe {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if self.room == 0 {
+                return Err(self.kind.into());
+            }
+            self.room -= usize::from(buf.ends_with(b"\n"));
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn stream_printer_checks_the_pipe_first_and_names_failed_jobs() {
+        // The client stops at the first refused line and reports the
+        // hang-up as a protocol error, as a real watch does.
+        let hang_up = |deliver: &mut dyn FnMut(&str) -> bool| {
+            for line in ["{\"event\":\"started\"}", "{\"event\":\"point\"}"] {
+                if !deliver(line) {
+                    return Err(ServerError::Protocol("hung up".into()));
+                }
+            }
+            Ok(serde_json::json!({"event": "completed"}))
+        };
+        let kind = std::io::ErrorKind::BrokenPipe;
+        print_stream(&mut ClosingPipe { room: 1, kind }, hang_up).unwrap();
+        let kind = std::io::ErrorKind::PermissionDenied;
+        assert!(print_stream(&mut ClosingPipe { room: 1, kind }, hang_up).is_err());
+
+        let failed = |deliver: &mut dyn FnMut(&str) -> bool| {
+            deliver("{\"event\":\"failed\"}");
+            Ok(serde_json::json!({"event": "failed", "id": "j9", "error": "boom"}))
+        };
+        let mut out = Vec::new();
+        let err = print_stream(&mut out, failed).unwrap_err();
+        assert_eq!(err.to_string(), "campaign j9 failed: boom");
+        assert_eq!(out, b"{\"event\":\"failed\"}\n");
+    }
+
     #[test]
     fn aggregates_table_renders_overall_and_slices() {
         let doc = serde_json::json!({
@@ -2075,12 +1997,14 @@ mod tests {
             ]))
             .unwrap(),
             Invocation::ClusterStart {
-                addr: DEFAULT_SERVER_ADDR.into(),
-                cache: default_campaign_cache(),
-                queue_workers: 2,
-                workers: 0,
-                max_connections: 128,
-                reactor_threads: 0,
+                serve: ServeOptions {
+                    addr: DEFAULT_SERVER_ADDR.into(),
+                    cache: default_campaign_cache(),
+                    queue_workers: 2,
+                    workers: 0,
+                    max_connections: 128,
+                    reactor_threads: 0,
+                },
                 worker_addrs: vec!["127.0.0.1:9001".into(), "127.0.0.1:9002".into()],
             }
         );

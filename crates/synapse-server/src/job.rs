@@ -3,18 +3,19 @@
 //!
 //! Events are serialized once (by the worker that produced them) into
 //! a bounded ring; any number of concurrent stream readers replay the
-//! retained buffer from the top and then block on a condvar for more.
-//! That makes `GET /campaigns/<id>/events` joinable at any time — a
-//! client attaching mid-sweep first drains history, then follows live
-//! — and means a slow client never stalls the sweep (the workers never
-//! wait on a socket). The ring holds at most the configured event cap:
-//! a 55k-point grid cannot grow an unbounded replay buffer; readers
-//! that fall behind (or attach late) receive a synthesized `truncated`
-//! event counting the dropped lines, then the retained tail.
+//! retained buffer from the top and then follow it as the job's event
+//! hook wakes the reactor. That makes `GET /campaigns/<id>/events`
+//! joinable at any time — a client attaching mid-sweep first drains
+//! history, then follows live — and means a slow client never stalls
+//! the sweep (the workers never wait on a socket). The ring holds at
+//! most the configured event cap: a 55k-point grid cannot grow an
+//! unbounded replay buffer; readers that fall behind (or attach late)
+//! receive a synthesized `truncated` event counting the dropped lines,
+//! then the retained tail.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use serde::{Deserialize, Serialize};
@@ -165,7 +166,7 @@ pub struct SnapshotCursor {
 
 /// Out-of-band notification that a job published (or closed) events —
 /// how the reactor learns to pump its streams without a thread parked
-/// on every job's condvar. Calls coalesce at the receiver (an eventfd
+/// on every job. Calls coalesce at the receiver (an eventfd
 /// counter), so per-point invocation stays cheap.
 pub type EventHook = dyn Fn() + Send + Sync;
 
@@ -195,11 +196,10 @@ pub struct Job {
     events: Mutex<EventLog>,
     /// Lifecycle + snapshot lines only (see [`EventRing`]).
     aggregate_events: Mutex<EventLog>,
-    events_ready: Condvar,
     /// Cheap terminal check for streamers (avoids taking the progress
     /// lock per poll).
     done_events: AtomicUsize,
-    /// Reactor wakeup, fired alongside the condvar.
+    /// Reactor wakeup, fired on publish (batched) and on close.
     hook: Option<Arc<EventHook>>,
     /// Flight recorder capturing this job's causal stream
     /// (`POST /campaigns?record=1`). Attached before the job is queued,
@@ -219,20 +219,9 @@ const EVENTS_CLOSED: usize = usize::MAX;
 
 impl Job {
     /// A freshly-accepted job in the queued state, retaining at most
-    /// `event_cap` NDJSON lines for replay (0 ⇒ unbounded).
-    pub fn new(
-        id: u64,
-        spec: CampaignSpec,
-        total: usize,
-        workers: usize,
-        kind: JobKind,
-        event_cap: usize,
-    ) -> Job {
-        Job::with_hook(id, spec, total, workers, kind, event_cap, None)
-    }
-
-    /// [`Job::new`], plus an [`EventHook`] fired on every publish and
-    /// on close (the server wires the reactor's waker in here).
+    /// `event_cap` NDJSON lines per ring for replay (0 ⇒ unbounded).
+    /// `hook` is fired on publish and on close (the server wires the
+    /// reactor's waker in here).
     #[allow(clippy::too_many_arguments)]
     pub fn with_hook(
         id: u64,
@@ -279,7 +268,6 @@ impl Job {
             }),
             events: ring(),
             aggregate_events: ring(),
-            events_ready: Condvar::new(),
             done_events: AtomicUsize::new(0),
             hook,
             recorder: OnceLock::new(),
@@ -373,7 +361,6 @@ impl Job {
                 .inc();
         }
         events.lines.push_back(line);
-        self.events_ready.notify_all();
         events.unflushed += 1;
         let fire = events.unflushed >= HOOK_BATCH || events.last_hook.elapsed() >= HOOK_LATENCY;
         if fire {
@@ -412,7 +399,6 @@ impl Job {
         {
             let _events = self.events.lock().expect("events lock");
             self.done_events.store(EVENTS_CLOSED, Ordering::Release);
-            self.events_ready.notify_all();
         }
         if let Some(hook) = &self.hook {
             hook();
@@ -442,36 +428,35 @@ impl Job {
             }
         });
         if settled {
-            let event = serde_json::json!({
-                "event": "cancelled",
-                "id": self.public_id(),
-                "done": 0,
-                "total": self.total,
-            });
-            self.push_shared_event(serde_json::to_string(&event).expect("event serializes"));
+            self.push_shared_event(self.cancelled_event(0, self.total));
             self.close_events();
         }
         settled
     }
 
-    /// [`events_since`](Job::events_since) without the intermediate
-    /// `Vec<String>`: appends the retained lines (newline-terminated,
-    /// truncation marker included) straight into a caller buffer, up
-    /// to `max_bytes` of appended payload. The reactor's stream pump
-    /// runs this per wake batch; copying each line through its own
-    /// heap `String` first was measurable at 100k events/s. Returns
-    /// `(next_cursor, appended_any, closed)`.
-    pub fn events_into(
-        &self,
-        from: usize,
-        out: &mut Vec<u8>,
-        max_bytes: usize,
-    ) -> (usize, bool, bool) {
-        self.ring_events_into(EventRing::Raw, from, out, max_bytes)
+    /// The terminal `cancelled` NDJSON line: `done` of `total` points
+    /// landed before the sweep stopped.
+    pub fn cancelled_event(&self, done: usize, total: usize) -> String {
+        let event = serde_json::json!({
+            "event": "cancelled",
+            "id": self.public_id(),
+            "done": done,
+            "total": total,
+        });
+        serde_json::to_string(&event).expect("event serializes")
     }
 
-    /// [`Job::events_into`] over a chosen ring: the aggregates ring
-    /// serves `GET /campaigns/<id>/events?aggregates=1` watchers.
+    /// Append the retained lines of one ring at absolute positions
+    /// `[from..]` (newline-terminated) straight into a caller buffer,
+    /// up to `max_bytes` of appended payload. The reactor's stream
+    /// pump runs this per wake batch; the aggregates ring serves
+    /// `GET /campaigns/<id>/events?aggregates=1` watchers. Returns
+    /// `(next_cursor, appended_any, closed)`.
+    ///
+    /// A reader whose cursor fell behind the ring's retention (late
+    /// attach to a huge sweep, or a stalled consumer) first receives a
+    /// synthesized `truncated` event counting the dropped lines, then
+    /// the retained tail — the stream stays well-formed NDJSON.
     pub fn ring_events_into(
         &self,
         ring: EventRing,
@@ -509,42 +494,6 @@ impl Job {
         }
         (next, out.len() > start, self.events_closed())
     }
-
-    /// Copy out the events at absolute positions `[from..]`, blocking
-    /// up to `wait` when the ring has nothing new and the stream is
-    /// still open. Returns the next cursor, the copied lines and
-    /// whether the stream is closed (after draining, the reader may
-    /// hang up once a subsequent call returns empty+closed).
-    ///
-    /// A reader whose cursor fell behind the ring's retention (late
-    /// attach to a huge sweep, or a stalled consumer) first receives a
-    /// synthesized `truncated` event counting the dropped lines, then
-    /// the retained tail — the stream stays well-formed NDJSON.
-    pub fn events_since(&self, from: usize, wait: Duration) -> (usize, Vec<String>, bool) {
-        {
-            let events = self.events.lock().expect("events lock");
-            // `wait == 0` is a pure poll: never touch the condvar,
-            // just report what is retained right now.
-            if events.base + events.lines.len() <= from && !self.events_closed() && !wait.is_zero()
-            {
-                drop(
-                    self.events_ready
-                        .wait_timeout(events, wait)
-                        .expect("events lock"),
-                );
-            }
-        }
-        // One copy-out implementation: the marker/cursor rules live in
-        // `events_into` alone, so the two read paths cannot diverge.
-        let mut raw = Vec::new();
-        let (next, _, closed) = self.events_into(from, &mut raw, usize::MAX);
-        let fresh = raw
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .map(|line| String::from_utf8(line.to_vec()).expect("ring lines are UTF-8"))
-            .collect();
-        (next, fresh, closed)
-    }
 }
 
 #[cfg(test)]
@@ -566,6 +515,19 @@ mod tests {
         .unwrap()
     }
 
+    fn job(id: u64, event_cap: usize) -> Job {
+        Job::with_hook(id, spec(), 1, 1, JobKind::Sweep, event_cap, None)
+    }
+
+    /// Read the raw ring from absolute position `from`: the next
+    /// cursor, the lines, and whether the stream is closed.
+    fn read(job: &Job, from: usize) -> (usize, Vec<String>, bool) {
+        let mut raw = Vec::new();
+        let (next, _, closed) = job.ring_events_into(EventRing::Raw, from, &mut raw, usize::MAX);
+        let text = String::from_utf8(raw).unwrap();
+        (next, text.lines().map(str::to_string).collect(), closed)
+    }
+
     #[test]
     fn state_names_and_terminality() {
         assert_eq!(JobState::Queued.name(), "queued");
@@ -578,50 +540,36 @@ mod tests {
 
     #[test]
     fn events_replay_then_follow_then_close() {
-        let job = Job::new(7, spec(), 1, 1, JobKind::Sweep, 0);
+        let job = job(7, 0);
         assert_eq!(job.public_id(), "j7");
         job.push_event("{\"event\":\"a\"}".into());
         job.push_event("{\"event\":\"b\"}".into());
         // Replay from the top.
-        let (next, lines, closed) = job.events_since(0, Duration::from_millis(1));
+        let (next, lines, closed) = read(&job, 0);
         assert_eq!(lines.len(), 2);
         assert_eq!(next, 2);
         assert!(!closed);
-        // Nothing new: times out empty.
-        let (next, lines, closed) = job.events_since(2, Duration::from_millis(1));
+        // Nothing new: an empty read.
+        let (next, lines, closed) = read(&job, 2);
         assert!(lines.is_empty());
         assert_eq!(next, 2);
         assert!(!closed);
         // Close: reader drains and sees the closed flag.
         job.close_events();
-        let (_, lines, closed) = job.events_since(2, Duration::from_millis(1));
+        let (_, lines, closed) = read(&job, 2);
         assert!(lines.is_empty());
         assert!(closed);
     }
 
     #[test]
-    fn waiting_reader_wakes_on_push() {
-        let job = std::sync::Arc::new(Job::new(1, spec(), 1, 1, JobKind::Sweep, 0));
-        let reader = {
-            let job = job.clone();
-            std::thread::spawn(move || job.events_since(0, Duration::from_secs(5)))
-        };
-        // Give the reader a moment to block, then publish.
-        std::thread::sleep(Duration::from_millis(20));
-        job.push_event("{\"event\":\"live\"}".into());
-        let (_, lines, _) = reader.join().unwrap();
-        assert_eq!(lines, vec!["{\"event\":\"live\"}".to_string()]);
-    }
-
-    #[test]
     fn bounded_ring_drops_oldest_and_synthesizes_truncation() {
-        let job = Job::new(2, spec(), 1, 1, JobKind::Sweep, 3);
+        let job = job(2, 3);
         for i in 0..8 {
             job.push_event(format!("{{\"n\":{i}}}"));
         }
         // Only the 3 newest lines are retained; a reader starting from
         // 0 learns exactly how many it missed.
-        let (next, lines, _) = job.events_since(0, Duration::from_millis(1));
+        let (next, lines, _) = read(&job, 0);
         assert_eq!(
             lines[0], "{\"event\":\"truncated\",\"dropped\":5}",
             "{lines:?}"
@@ -629,10 +577,10 @@ mod tests {
         assert_eq!(&lines[1..], &["{\"n\":5}", "{\"n\":6}", "{\"n\":7}"]);
         assert_eq!(next, 8);
         // A caught-up reader sees no marker.
-        let (_, lines, _) = job.events_since(6, Duration::from_millis(1));
+        let (_, lines, _) = read(&job, 6);
         assert_eq!(lines, vec!["{\"n\":6}".to_string(), "{\"n\":7}".into()]);
         // A reader mid-ring gets only the partial drop count.
-        let (_, lines, _) = job.events_since(4, Duration::from_millis(1));
+        let (_, lines, _) = read(&job, 4);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":1}");
         assert_eq!(lines.len(), 4);
     }
@@ -641,18 +589,18 @@ mod tests {
     fn truncation_marker_counts_drops_relative_to_the_cursor() {
         // 8 events through a 3-line ring: positions 0..5 are the
         // truncated gap, 5..8 the retained tail.
-        let job = Job::new(9, spec(), 1, 1, JobKind::Sweep, 3);
+        let job = job(9, 3);
         for i in 0..8 {
             job.push_event(format!("{{\"n\":{i}}}"));
         }
         // Cursor at the gap start (position 0): every dropped line is
         // counted for THIS cursor.
-        let (next, lines, _) = job.events_since(0, Duration::ZERO);
+        let (next, lines, _) = read(&job, 0);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":5}");
         assert_eq!(next, 8);
         // Cursor mid-gap (position 3): only the lines this reader
         // actually missed — not the count from the ring's own start.
-        let (next, lines, _) = job.events_since(3, Duration::ZERO);
+        let (next, lines, _) = read(&job, 3);
         assert_eq!(
             lines[0], "{\"event\":\"truncated\",\"dropped\":2}",
             "mid-gap cursor counts 3..5, not 0..5"
@@ -661,24 +609,24 @@ mod tests {
         assert_eq!(next, 8);
         // Cursor exactly at the ring head (position 5 = first retained
         // line): nothing was missed, no marker is synthesized.
-        let (next, lines, _) = job.events_since(5, Duration::ZERO);
+        let (next, lines, _) = read(&job, 5);
         assert_eq!(lines, vec!["{\"n\":5}", "{\"n\":6}", "{\"n\":7}"]);
         assert_eq!(next, 8);
     }
 
     #[test]
     fn truncation_marker_is_emitted_exactly_once_per_gap() {
-        let job = Job::new(10, spec(), 1, 1, JobKind::Sweep, 2);
+        let job = job(10, 2);
         for i in 0..5 {
             job.push_event(format!("{{\"n\":{i}}}"));
         }
         // First read from a stale cursor: one marker, cursor advances
         // past the gap.
-        let (next, lines, _) = job.events_since(1, Duration::ZERO);
+        let (next, lines, _) = read(&job, 1);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":2}");
         assert_eq!(next, 5);
         // Resuming from the returned cursor never replays the marker.
-        let (next2, lines, _) = job.events_since(next, Duration::ZERO);
+        let (next2, lines, _) = read(&job, next);
         assert!(lines.is_empty(), "{lines:?}");
         assert_eq!(next2, 5);
         // A *new* gap (the ring rolled again past this cursor) is a
@@ -686,11 +634,11 @@ mod tests {
         for i in 5..9 {
             job.push_event(format!("{{\"n\":{i}}}"));
         }
-        let (next3, lines, _) = job.events_since(next2, Duration::ZERO);
+        let (next3, lines, _) = read(&job, next2);
         assert_eq!(lines[0], "{\"event\":\"truncated\",\"dropped\":2}");
         assert_eq!(&lines[1..], &["{\"n\":7}", "{\"n\":8}"]);
         assert_eq!(next3, 9);
-        let (_, lines, _) = job.events_since(next3, Duration::ZERO);
+        let (_, lines, _) = read(&job, next3);
         assert!(lines.is_empty(), "exactly once: {lines:?}");
     }
 
@@ -723,7 +671,7 @@ mod tests {
 
     #[test]
     fn shared_events_reach_both_rings_point_events_only_the_raw_one() {
-        let job = Job::new(12, spec(), 1, 1, JobKind::Sweep, 0);
+        let job = job(12, 0);
         job.push_event("{\"event\":\"point\"}".into());
         job.push_shared_event("{\"event\":\"snapshot\"}".into());
         let mut raw = Vec::new();
@@ -743,11 +691,25 @@ mod tests {
     }
 
     #[test]
+    fn settling_a_queued_job_emits_one_cancelled_line_on_both_rings() {
+        let job = job(4, 0);
+        assert!(job.settle_if_queued());
+        assert!(!job.settle_if_queued(), "a job settles once");
+        assert_eq!(job.state(), JobState::Cancelled);
+        assert!(job.cancel.is_cancelled());
+        let line = "{\"done\":0,\"event\":\"cancelled\",\"id\":\"j4\",\"total\":1}";
+        assert_eq!(read(&job, 0), (1, vec![line.to_string()], true));
+        let mut agg = Vec::new();
+        job.ring_events_into(EventRing::Aggregates, 0, &mut agg, usize::MAX);
+        assert_eq!(agg, format!("{line}\n").into_bytes());
+    }
+
+    #[test]
     fn job_kinds_carry_lease_ranges() {
         let lease = JobKind::Lease { start: 4, end: 9 };
         assert_eq!(lease, JobKind::Lease { start: 4, end: 9 });
         assert_ne!(lease, JobKind::Sweep);
-        let job = Job::new(3, spec(), 5, 1, lease, 0);
+        let job = Job::with_hook(3, spec(), 5, 1, lease, 0, None);
         assert_eq!(job.kind, lease);
     }
 }

@@ -448,22 +448,12 @@ fn job_counts(state: &ServerState) -> (usize, usize, usize) {
     (jobs.len(), queued, running)
 }
 
-/// This process's live thread count (Linux `/proc`), surfaced through
-/// `/healthz` so operators — and the CI smoke — can verify the front
-/// holds watchers without spawning a thread per connection.
-fn process_threads() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            status
-                .lines()
-                .find(|l| l.starts_with("Threads:"))?
-                .split_whitespace()
-                .nth(1)?
-                .parse()
-                .ok()
-        })
-        .unwrap_or(0)
+/// This process's live thread count, read through the profiler's own
+/// `/proc/<pid>/stat` parser and surfaced through `/healthz` so
+/// operators — and the CI smoke — can verify the front holds watchers
+/// without spawning a thread per connection.
+fn process_threads() -> u32 {
+    synapse_proc::read_pid_stat(std::process::id() as i32).map_or(0, |stat| stat.num_threads)
 }
 
 /// A bound, not-yet-running server.
@@ -656,21 +646,9 @@ fn queue_worker(state: &ServerState) {
 fn run_job(state: &ServerState, job: &Arc<Job>) {
     if job.cancel.is_cancelled() {
         // Cancelled while still queued. DELETE (or shutdown) may have
-        // settled it already — emit the terminal event only once.
-        let already_settled = job.with_progress(|p| {
-            if p.state.is_terminal() {
-                true
-            } else {
-                p.state = JobState::Cancelled;
-                false
-            }
-        });
-        if !already_settled {
-            job.push_shared_event(
-                ndjson(&json!({"event": "cancelled", "id": job.public_id(), "done": 0, "total": job.total})),
-            );
-            job.close_events();
-        }
+        // settled it already — the settle emits the terminal event
+        // only once.
+        job.settle_if_queued();
         state.finalize_trace(job);
         return;
     }
@@ -918,12 +896,7 @@ fn publish_outcome(
             // A DELETE racing the queue pop may have settled the job
             // (and closed its stream) already; don't emit twice.
             if !job.events_closed() {
-                job.push_shared_event(ndjson(&json!({
-                    "event": "cancelled",
-                    "id": job.public_id(),
-                    "done": done,
-                    "total": total,
-                })));
+                job.push_shared_event(job.cancelled_event(done, total));
             }
         }
         Err(e) => {

@@ -126,6 +126,21 @@ fn bad_invocations_exit_nonzero_with_usage() {
 }
 
 #[test]
+fn unknown_flag_exits_2_with_error_and_usage() {
+    let Some((code, stdout, stderr)) = run_cli(&["stats", "cmd", "--kernel", "c"]) else {
+        eprintln!("synapse binary not built; skipping");
+        return;
+    };
+    assert_eq!(code, 2, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(
+        stderr.contains("error: unknown stats flag --kernel"),
+        "{stderr}"
+    );
+    assert!(stderr.contains("USAGE:\n  synapse profile"), "{stderr}");
+}
+
+#[test]
 fn worker_subcommand_consumes_cycles() {
     let Some((code, stdout, stderr)) =
         run_cli(&["worker", "--kernel", "spin", "--cycles", "5000000"])
